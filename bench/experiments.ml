@@ -952,12 +952,11 @@ let search_par () =
           bb_result (Search.solve ~options:bb_options ~pool:p platform g)))
     (graphs ());
   Support.Table.print table;
-  (* Fiber-vs-thunk: the same batch of distinct misses fanned out over
-     one pool, once as suspendable fibers (the serving default), once as
-     domain-granular thunks. Outputs must be bitwise identical; the
-     interesting numbers are the wall clocks and the raw fiber
-     scheduling rate (spawn/await/yield round-trips per second). *)
-  print_endline "-- Batch miss fan-out: fibers vs thunks (same pool) --";
+  (* Fan-out identity: the same batch of distinct misses answered
+     sequentially and fanned out as suspendable fibers over one pool.
+     Outputs must be bitwise identical; the other number is the raw
+     fiber scheduling rate (spawn/await/yield round-trips per second). *)
+  print_endline "-- Batch miss fan-out: pooled fibers vs sequential --";
   let fiber_requests = if quick then 6 else 12 in
   let random_graph rng n =
     Daggen.Generator.generate ~rng
@@ -983,17 +982,18 @@ let search_par () =
   let render_all responses =
     String.concat "" (List.map Service.Batch.render responses)
   in
-  let batch_with ~fibers =
-    Par.Pool.with_pool ~size:(min 4 (max 2 host)) (fun p ->
-        time_of (fun () ->
-            render_all
-              (Service.Batch.run_view ~pool:p ~fibers
-                 ~view:(Service.Cache.view (Service.Cache.create ()))
-                 fiber_reqs)))
+  let batch ?pool () =
+    render_all
+      (Service.Batch.run_view ?pool
+         ~view:(Service.Shard.view (Service.Shard.create ()))
+         fiber_reqs)
   in
-  let out_thunk, t_thunk = batch_with ~fibers:false in
-  let out_fiber, t_fiber = batch_with ~fibers:true in
-  let fiber_identical = String.equal out_thunk out_fiber in
+  let out_seq = batch () in
+  let out_fiber, t_fiber =
+    Par.Pool.with_pool ~size:(min 4 (max 2 host)) (fun pool ->
+        time_of (fun () -> batch ~pool ()))
+  in
+  let fiber_identical = String.equal out_seq out_fiber in
   if not fiber_identical then all_identical := false;
   (* scheduling-rate microbench: tiny fibers, nothing but spawn/await *)
   let spawn_rate =
@@ -1012,11 +1012,9 @@ let search_par () =
         if t > 0. then float_of_int n /. t else 0.)
   in
   Printf.printf
-    "   %d distinct misses: thunks %.3f s, fibers %.3f s (ratio %.2fx), \
-     identical: %s\n\
+    "   %d distinct misses: fibers %.3f s, identical to sequential: %s\n\
     \   fiber spawn+yield+await round-trips: %.0f /s\n"
-    fiber_requests t_thunk t_fiber
-    (if t_fiber > 0. then t_thunk /. t_fiber else infinity)
+    fiber_requests t_fiber
     (if fiber_identical then "yes" else "NO")
     spawn_rate;
   let oc = open_out "BENCH_par.json" in
@@ -1027,16 +1025,14 @@ let search_par () =
     \  \"pool_sizes\": [ %s ],\n\
     \  \"all_identical\": %b,\n\
     \  \"best_speedup\": %.3f,\n\
-    \  \"fiber\": { \"requests\": %d, \"thunk_s\": %.6f, \"fiber_s\": %.6f,\n\
-    \              \"ratio\": %.3f, \"identical\": %b,\n\
+    \  \"fiber\": { \"requests\": %d, \"fiber_s\": %.6f, \"identical\": %b,\n\
     \              \"spawn_await_per_s\": %.0f },\n\
     \  \"rows\": [\n%s\n  ]\n\
      }\n"
     host
     (String.concat ", " (List.map string_of_int sizes))
-    !all_identical !best_speedup fiber_requests t_thunk t_fiber
-    (if t_fiber > 0. then t_thunk /. t_fiber else 0.)
-    fiber_identical spawn_rate
+    !all_identical !best_speedup fiber_requests t_fiber fiber_identical
+    spawn_rate
     (String.concat ",\n" (List.rev !json_rows));
   close_out oc;
   print_endline "wrote BENCH_par.json";
@@ -1197,9 +1193,9 @@ let service () =
           prio = 0;
         }
       in
-      let cache = Service.Cache.create () in
+      let view = Service.Shard.view (Service.Shard.create ()) in
       let one () =
-        match Service.Batch.run ~cache [ request ] with
+        match Service.Batch.run_view ~view [ request ] with
         | [ r ] -> r
         | _ -> assert false
       in
@@ -1537,21 +1533,21 @@ let traffic () =
     (fun skew ->
       let stream = Service.Workload.generate (spec skew) in
       let base =
-        Service.Cache.create ~publish:false ~max_entries:(1 lsl 20)
-          ~max_bytes:(1 lsl 30) ()
+        Service.Shard.create ~max_entries:(1 lsl 20) ~max_bytes:(1 lsl 30) ()
       in
       let entries = Hashtbl.create 64 in
       Array.iter
         (fun r ->
           let fp = Service.Request.fingerprint r in
           if not (Hashtbl.mem entries fp) then begin
-            ignore (Service.Batch.run ~cache:base [ r ]);
-            match Service.Cache.find base fp with
+            ignore
+              (Service.Batch.run_view ~view:(Service.Shard.view base) [ r ]);
+            match Service.Shard.find base fp with
             | Some e -> Hashtbl.add entries fp e
             | None -> assert false
           end)
         stream;
-      let total_bytes = Service.Cache.bytes_used base in
+      let total_bytes = Service.Shard.bytes_used base in
       let budgets =
         [
           max 256 (total_bytes / 4);

@@ -53,16 +53,17 @@ let strategy_arg =
   in
   Arg.(value & opt (enum strategies) `Milp & info [ "strategy"; "s" ] ~doc)
 
-let parallel_arg =
-  let doc =
-    "Run the search on a domain pool of $(docv) workers (0 or no value: \
-     CELLSTREAM_DOMAINS, else the recommended domain count). Results are \
-     bitwise identical to the sequential run."
-  in
+let parallel_opt doc =
   Arg.(
     value
     & opt ~vopt:(Some 0) (some int) None
     & info [ "parallel" ] ~docv:"N" ~doc)
+
+let parallel_arg =
+  parallel_opt
+    "Run the search on a domain pool of $(docv) workers (0 or no value: \
+     CELLSTREAM_DOMAINS, else the recommended domain count). Results are \
+     bitwise identical to the sequential run."
 
 (* Run [f] with the pool the --parallel option asks for (none by
    default); the pool's lifetime is the call, and its worker stats are
@@ -957,7 +958,7 @@ let obs_cmd =
 (* --- batch ------------------------------------------------------------------ *)
 
 let batch_cmd =
-  let run requests_path n_spe cache_path parallel no_fibers metrics force =
+  let run requests_path n_spe cache_path parallel metrics force =
     enable_metrics metrics;
     let contents =
       match requests_path with
@@ -989,14 +990,14 @@ let batch_cmd =
         Printf.eprintf "cellsched: %s: %s\n" requests_path m;
         exit 2
     in
-    let cache =
+    let shard =
       match cache_path with
-      | Some path -> Service.Cache.load_file path
-      | None -> Service.Cache.create ()
+      | Some path -> Service.Shard.load_files path
+      | None -> Service.Shard.create ()
     in
     let responses =
       with_optional_pool parallel (fun pool ->
-          Service.Batch.run ?pool ~fibers:(not no_fibers) ~cache requests)
+          Service.Batch.run_view ?pool ~view:(Service.Shard.view shard) requests)
     in
     List.iter (fun r -> print_string (Service.Batch.render r)) responses;
     let hits =
@@ -1011,8 +1012,9 @@ let batch_cmd =
     | None -> ()
     | Some path -> (
         (* Read-modify-write of the named cache file: writing back over
-           the file we loaded is the contract, no --force needed. *)
-        match Service.Cache.save_file ~force:true cache path with
+           the file(s) we loaded is the contract, no --force needed. A
+           sharded daemon's FILE.shardI files are folded into FILE. *)
+        match Service.Shard.save_files ~force:true shard path with
         | Ok () -> ()
         | Error m ->
             Printf.eprintf "cellsched: %s\n" m;
@@ -1031,18 +1033,13 @@ let batch_cmd =
   let cache =
     let doc =
       "Persistent mapping cache: loaded before the batch (a missing or \
-       corrupt file starts empty) and written back after. Without this \
-       option the batch still deduplicates in memory."
+       corrupt file starts empty; a sharded daemon's FILE.shardI files are \
+       read too) and written back after as the single FILE. Without this \
+       option the batch still deduplicates in memory. With --parallel, \
+       distinct misses fan out as suspendable fibers over the pool; the \
+       output is bitwise identical at any pool size."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
-  in
-  let no_fibers =
-    let doc =
-      "With --parallel, dispatch distinct misses as domain-granular pool \
-       thunks instead of suspendable fibers (output is bitwise identical \
-       either way)."
-    in
-    Arg.(value & flag & info [ "no-fibers" ] ~doc)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1050,13 +1047,13 @@ let batch_cmd =
          "Answer a stream of mapping requests, deduplicating by canonical \
           fingerprint and solving only the distinct cache misses")
     Term.(
-      const run $ requests $ n_spe_arg $ cache $ parallel_arg $ no_fibers
-      $ metrics_arg $ force_arg)
+      const run $ requests $ n_spe_arg $ cache $ parallel_arg $ metrics_arg
+      $ force_arg)
 
 (* --- serve ------------------------------------------------------------------ *)
 
 let serve_cmd =
-  let run n_spe bound parallel fibers max_inflight socket cache_path
+  let run n_spe bound parallel socket cache_path
       cache_entries cache_bytes cache_shards flush_period metrics_file
       trace_dir =
     if bound <= 0 then begin
@@ -1072,10 +1069,6 @@ let serve_cmd =
       Printf.eprintf "cellsched: --flush-period must be >= 0\n";
       exit 2
     end;
-    if max_inflight <= 0 then begin
-      Printf.eprintf "cellsched: --max-inflight must be positive\n";
-      exit 2
-    end;
     let concurrency =
       match parallel with
       | None -> 1
@@ -1087,8 +1080,6 @@ let serve_cmd =
         default_spes = n_spe;
         bound;
         concurrency;
-        fibers;
-        max_inflight;
         cache_path;
         cache_entries;
         cache_bytes;
@@ -1120,19 +1111,14 @@ let serve_cmd =
     in
     Arg.(value & opt int 64 & info [ "bound" ] ~docv:"N" ~doc)
   in
-  let fibers =
-    let doc =
-      "Dispatch each admitted solve as a suspendable fiber over the worker \
-       pool (one worker even without --parallel), up to --max-inflight at \
-       once; solves yield at node-budget boundaries so cache hits keep \
-       flowing during long dives. Replies are sequenced in admission order, \
-       bitwise identical to the fiber-less daemon."
-    in
-    Arg.(value & flag & info [ "fibers" ] ~doc)
-  in
-  let max_inflight =
-    let doc = "Fiber mode: maximum concurrently in-flight solve fibers." in
-    Arg.(value & opt int 32 & info [ "max-inflight" ] ~docv:"N" ~doc)
+  let parallel =
+    parallel_opt
+      "Solve on a domain pool of $(docv) workers (0 or no value: \
+       CELLSTREAM_DOMAINS, else the recommended domain count); without it \
+       each solve runs inline on the event loop. With a pool, replies leave \
+       in completion order, up to $(docv) in-flight duplicates of one \
+       request may each solve, and every reply's bytes still equal the \
+       inline daemon's (bar the source: line of a duplicate that solved)."
   in
   let socket =
     let doc =
@@ -1206,9 +1192,8 @@ let serve_cmd =
           admission control, a warm persistent cache, live metrics and \
           per-request tracing")
     Term.(
-      const run $ n_spe_arg $ bound $ parallel_arg $ fibers $ max_inflight
-      $ socket $ cache $ cache_entries $ cache_bytes $ cache_shards
-      $ flush_period $ metrics_file $ trace_dir)
+      const run $ n_spe_arg $ bound $ parallel $ socket $ cache $ cache_entries
+      $ cache_bytes $ cache_shards $ flush_period $ metrics_file $ trace_dir)
 
 (* --- workload --------------------------------------------------------------- *)
 
@@ -1506,7 +1491,7 @@ let traffic_cmd =
 let cache_cmd =
   let run path json clear force =
     if clear then begin
-      match Service.Cache.save_file ~force (Service.Cache.create ()) path with
+      match Service.Shard.save_files ~force (Service.Shard.create ()) path with
       | Ok () ->
           Printf.printf "wrote %s (empty cache)\n" path;
           0
@@ -1514,33 +1499,37 @@ let cache_cmd =
           Printf.eprintf "cellsched: %s\n" m;
           2
     end
-    else if not (Sys.file_exists path) then begin
+    else if
+      not
+        (Sys.file_exists path
+        || Sys.file_exists (Service.Shard.shard_path path ~shards:2 0))
+    then begin
       Printf.printf "%s: no cache file (a batch run would start empty)\n" path;
       0
     end
     else begin
-      let contents = In_channel.with_open_bin path In_channel.input_all in
-      let cache =
-        match Service.Cache.load_string contents with
-        | Ok cache -> cache
-        | Error (cache, reason) ->
-            Printf.eprintf "cellsched: %s: corrupt cache (%s); treating as empty\n"
-              path reason;
-            cache
+      (* The same load a batch --cache run does: a sharded daemon's
+         FILE.shardI files are read when present. *)
+      let shard =
+        Service.Shard.load_files path ~on_corrupt:(fun file reason ->
+            Printf.eprintf
+              "cellsched: %s: corrupt cache (%s); treating as empty\n" file
+              reason)
       in
-      if json then print_endline (Service.Cache.to_json_string cache)
+      let entries = Service.Shard.entries shard in
+      if json then print_endline (Service.Cache.entries_to_json_string entries)
       else begin
-        Printf.printf "%s: %d entr%s, ~%d bytes\n" path
-          (Service.Cache.length cache)
-          (if Service.Cache.length cache = 1 then "y" else "ies")
-          (Service.Cache.bytes_used cache);
+        let n = Service.Shard.length shard in
+        Printf.printf "%s: %d entr%s, ~%d bytes\n" path n
+          (if n = 1 then "y" else "ies")
+          (Service.Shard.bytes_used shard);
         List.iter
           (fun (e : Service.Cache.entry) ->
             Printf.printf "  %s  %-28s  feasible=%b  period=%.6g s  %s\n"
               e.Service.Cache.fingerprint e.Service.Cache.strategy
               e.Service.Cache.feasible e.Service.Cache.period
               e.Service.Cache.bottleneck)
-          (Service.Cache.entries cache)
+          entries
       end;
       0
     end
@@ -1549,7 +1538,10 @@ let cache_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Cache file (as written by batch --cache).")
+      & info [] ~docv:"FILE"
+          ~doc:
+            "Cache file (as written by batch --cache); a sharded daemon's \
+             FILE.shardI files are read too.")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Dump the cache as JSON.")
@@ -1559,8 +1551,9 @@ let cache_cmd =
       value & flag
       & info [ "clear" ]
           ~doc:
-            "Write an empty cache to $(i,FILE) (refuses to overwrite an \
-             existing file without --force).")
+            "Write an empty cache to $(i,FILE), removing any FILE.shardI \
+             files (refuses to overwrite or remove an existing file \
+             without --force).")
   in
   Cmd.v
     (Cmd.info "cache"

@@ -107,8 +107,6 @@ type config = {
   default_strategy : Request.strategy;
   bound : int;
   concurrency : int;
-  fibers : bool;
-  max_inflight : int;
   cache_path : string option;
   cache_entries : int option;
   cache_bytes : int option;
@@ -124,8 +122,6 @@ let default_config =
     default_strategy = Request.default_strategy;
     bound = 64;
     concurrency = 1;
-    fibers = false;
-    max_inflight = 32;
     cache_path = None;
     cache_entries = None;
     cache_bytes = None;
@@ -155,10 +151,6 @@ type outcome =
       deadline_hit : bool;
     }
   | Crashed of string
-  | Hit of Batch.response
-      (* fiber mode only: a dispatch-time cache hit parked in the reply
-         sequencer so it goes out in admission order like every other
-         queued reply *)
 
 type job = {
   id : string;
@@ -168,11 +160,6 @@ type job = {
   deadline : float;  (* absolute seconds; [infinity] when none *)
   trace : Obs.Span.collector;  (* this request's private span buffer *)
   span : Obs.Span.ctx;  (* position under the request root span *)
-  mutable promise : unit Par.Pool.promise option;
-  (* fiber mode: reply-sequencing slot (pop order) and the request
-     fingerprint, both stamped at dispatch; -1 / "" beforehand *)
-  mutable slot : int;
-  mutable fp : string;
 }
 
 type done_item = { job : job; outcome : outcome }
@@ -201,15 +188,6 @@ type t = {
      touched exclusively from the main loop. *)
   completed : done_item Queue.t;
   completed_mutex : Mutex.t;
-  (* Fiber-mode reply sequencer, main-loop-only like the cache: done
-     items keyed by slot, emitted in contiguous slot order. [deferred]
-     holds popped jobs whose fingerprint is being solved by an earlier
-     slot; [inflight_fps] the fingerprints with a live solve fiber. *)
-  ready : (int, done_item) Hashtbl.t;
-  deferred : job Queue.t;
-  inflight_fps : (string, unit) Hashtbl.t;
-  mutable next_slot : int;
-  mutable next_reply : int;
   stop : bool Atomic.t;
   load_graph : string -> Streaming.Graph.t;
   on_reply : reply -> unit;
@@ -244,8 +222,6 @@ let default_loader () =
 let create ?(on_reply = fun _ -> ()) ?load_graph config =
   if config.concurrency <= 0 then
     invalid_arg "Server.create: non-positive concurrency";
-  if config.fibers && config.max_inflight <= 0 then
-    invalid_arg "Server.create: non-positive max_inflight";
   if config.flush_period < 0. then
     invalid_arg "Server.create: negative flush period";
   let shard =
@@ -257,10 +233,8 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
         Shard.create ~shards:config.cache_shards
           ?max_entries:config.cache_entries ?max_bytes:config.cache_bytes ()
   in
-  (* Fibers always get a pool, even at concurrency 1: the whole point
-     is that solves run off the main loop so hits keep flowing. *)
   let pool =
-    if config.concurrency > 1 || config.fibers then
+    if config.concurrency > 1 then
       Some (Par.Pool.create ~size:config.concurrency ())
     else None
   in
@@ -278,11 +252,6 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     admission = Admission.create ~bound:config.bound;
     completed = Queue.create ();
     completed_mutex = Mutex.create ();
-    ready = Hashtbl.create 64;
-    deferred = Queue.create ();
-    inflight_fps = Hashtbl.create 64;
-    next_slot = 0;
-    next_reply = 0;
     stop = Atomic.make false;
     load_graph;
     on_reply;
@@ -470,17 +439,12 @@ let send_error t ~id ~out reason =
   t.on_reply { id; status = `Error reason; response = None; latency = 0. }
 
 (* Runs on a pool worker (or inline when [concurrency = 1]). Touches
-   nothing but the request, the stop flag and the completion queue. *)
+   nothing but the request, the stop flag and the completion queue, and
+   captures every exception into [Crashed], so it is safe as a
+   fire-and-forget pool task. *)
 let run_job t (job : job) =
   let deadline_hit = ref false and cancelled = ref false in
-  (* Fiber mode runs this as a suspendable fiber: the tick yields the
-     domain at every solver node-budget poll (a no-op elsewhere), so
-     more in-flight solves than domains still make joint progress. *)
-  let tick =
-    if t.config.fibers then Par.Fiber.yielder ~every:1 else fun () -> ()
-  in
   let should_stop () =
-    tick ();
     if Unix.gettimeofday () > job.deadline then begin
       deadline_hit := true;
       cancelled := true;
@@ -521,17 +485,9 @@ let run_job t (job : job) =
   Mutex.unlock t.completed_mutex
 
 let finish_job t { job; outcome } =
-  (match (job.promise, t.pool) with
-  | Some p, Some pool -> Par.Pool.await pool p
-  | _ -> ());
-  job.promise <- None;
   Admission.finish t.admission;
   match outcome with
   | Crashed reason -> send_error t ~id:job.id ~out:job.out reason
-  | Hit response ->
-      t.hits <- t.hits + 1;
-      metrics_inc m_hits;
-      send_reply t job ~partial:false response
   | Finished { assignment; period; bound; partial; deadline_hit } ->
       (* Partial results are timing-dependent: render them, never cache
          them (store:false), so the deterministic cache stays a pure
@@ -588,117 +544,16 @@ let dispatch t =
               go ()
           | None ->
               (match t.pool with
-              | Some pool ->
-                  job.promise <-
-                    Some (Par.Pool.submit pool (fun () -> run_job t job))
+              | Some pool -> Par.Pool.run_async pool (fun () -> run_job t job)
               | None -> run_job t job);
               go ())
   in
   go ()
 
-(* --- fiber dispatch ------------------------------------------------------- *)
-
-(* Fiber mode keeps the determinism contract under concurrent solves by
-   separating execution order from reply order. Every popped job gets a
-   slot (pop order = the order the sequential daemon would have served
-   it); solves run concurrently as pool fibers and land in [ready];
-   replies — and the cache stores they carry — are emitted strictly in
-   contiguous slot order by [finish_ready]. A job whose fingerprint is
-   already being solved is parked in [deferred] instead of burning a
-   duplicate solve, and re-probed when its twin's slot finishes — the
-   fiber-mode analogue of the sequential cache@dispatch re-check, which
-   keeps its reply bytes ([source: cache]) identical. Progress is
-   guaranteed: a deferred job always waits on a strictly smaller slot
-   (its twin was popped earlier or spawned by an earlier retry), so the
-   smallest unfinished slot is never deferred. *)
-
-let fiber_pool t =
-  match t.pool with Some p -> p | None -> assert false (* created with fibers *)
-
-let finish_fiber t ({ job; outcome } as item) =
-  (match outcome with
-  | Finished _ | Crashed _ ->
-      if job.fp <> "" then Hashtbl.remove t.inflight_fps job.fp
-  | Hit _ -> ());
-  finish_job t item
-
-let spawn_solve t (job : job) =
-  Hashtbl.replace t.inflight_fps job.fp ();
-  ignore (Par.Fiber.spawn ~pool:(fiber_pool t) (fun () -> run_job t job))
-
-(* Probe-or-spawn for a job already holding a slot; shared between
-   first dispatch and deferred retries so both produce the exact bytes
-   the sequential cache@dispatch path would. *)
-let classify_dispatch t (job : job) =
-  if Hashtbl.mem t.inflight_fps job.fp then Queue.push job t.deferred
-  else
-    match
-      stage_span job.span h_stage_cache "cache@dispatch" (fun () ->
-          Batch.try_cache_view ~view:t.view job.request)
-    with
-    | Some response -> Hashtbl.replace t.ready job.slot { job; outcome = Hit response }
-    | None -> spawn_solve t job
-
-let retry_deferred t =
-  if not (Queue.is_empty t.deferred) then begin
-    let parked = Queue.create () in
-    Queue.transfer t.deferred parked;
-    (* retry in queue (= slot) order; classify_dispatch re-defers any
-       job whose fingerprint went back in flight this round *)
-    Queue.iter (fun job -> classify_dispatch t job) parked
-  end
-
-let transfer_completed t =
-  let pending = Queue.create () in
-  Mutex.lock t.completed_mutex;
-  Queue.transfer t.completed pending;
-  Mutex.unlock t.completed_mutex;
-  Queue.iter (fun ({ job; _ } as item) -> Hashtbl.replace t.ready job.slot item)
-    pending
-
-let rec finish_ready t =
-  match Hashtbl.find_opt t.ready t.next_reply with
-  | None -> ()
-  | Some item ->
-      Hashtbl.remove t.ready t.next_reply;
-      t.next_reply <- t.next_reply + 1;
-      finish_fiber t item;
-      (* this finish may have stored a cache entry and released its
-         fingerprint: deferred twins can now hit or respawn *)
-      retry_deferred t;
-      finish_ready t
-
-let dispatch_fibers t =
-  let rec go () =
-    if Hashtbl.length t.inflight_fps < t.config.max_inflight then
-      match Admission.next t.admission with
-      | None -> ()
-      | Some job ->
-          job.slot <- t.next_slot;
-          t.next_slot <- t.next_slot + 1;
-          job.fp <- Request.fingerprint job.request;
-          Obs.Span.record job.span ~t_start:job.received "queue";
-          if Obs.Metrics.enabled () then
-            Obs.Metrics.Histogram.observe h_stage_queue
-              (Unix.gettimeofday () -. job.received);
-          classify_dispatch t job;
-          go ()
-  in
-  go ()
-
 let poll t =
-  if t.config.fibers then begin
-    transfer_completed t;
-    finish_ready t;
-    dispatch_fibers t;
-    (* a dispatch-time hit may occupy the very next slot *)
-    finish_ready t
-  end
-  else begin
-    drain_completed t;
-    dispatch t;
-    drain_completed t
-  end;
+  drain_completed t;
+  dispatch t;
+  drain_completed t;
   maybe_flush t;
   publish_queue t
 
@@ -753,18 +608,7 @@ let handle_line t ~out line =
           metrics_inc m_accepted;
           metrics_inc m_hits;
           send_reply t
-            {
-              id;
-              request;
-              out;
-              received;
-              deadline = infinity;
-              trace;
-              span;
-              promise = None;
-              slot = -1;
-              fp = "";
-            }
+            { id; request; out; received; deadline = infinity; trace; span }
             ~partial:false response
       | None ->
           let deadline =
@@ -772,20 +616,7 @@ let handle_line t ~out line =
             | Some ms -> received +. (ms /. 1000.)
             | None -> infinity
           in
-          let job =
-            {
-              id;
-              request;
-              out;
-              received;
-              deadline;
-              trace;
-              span;
-              promise = None;
-              slot = -1;
-              fp = "";
-            }
-          in
+          let job = { id; request; out; received; deadline; trace; span } in
           if Admission.admit t.admission ~prio:request.Request.prio job then begin
             t.accepted <- t.accepted + 1;
             metrics_inc m_accepted;

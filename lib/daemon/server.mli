@@ -6,8 +6,8 @@
     advances through {!poll}. The split keeps every policy decision
     unit-testable without a file descriptor in sight:
 
-    - {b Hits are free}: a request answered by the warm {!Service.Cache}
-      replies inline from {!handle_line} and never queues — an
+    - {b Hits are free}: a request answered by the warm cache replies
+      inline from {!handle_line} and never queues — an
       overloaded daemon keeps serving everything it already knows.
     - {b Admission control}: misses enter a bounded priority queue
       ({!Admission}); when queued plus in-flight work reaches
@@ -19,32 +19,27 @@
       so far — always a feasible mapping — is returned tagged
       [partial]. Partial results are {e never} written to the cache
       (they are timing-dependent; the cache stays deterministic).
-    - {b Concurrency}: [config.concurrency = 1] solves inline in
-      {!poll} (deterministic, no domains spawned — fork-safe for
-      tests); [> 1] multiplexes solves over a {!Par.Pool.t}, with
-      completions crossing back to the main loop through a
-      mutex-protected queue, so the cache and the client writers are
-      only ever touched from the loop.
-    - {b Fibers}: with [config.fibers] every dispatched miss runs as a
-      suspendable {!Par.Fiber} on the pool (created even at
-      concurrency 1), yielding its domain at solver node-budget
-      boundaries, with up to [config.max_inflight] solves in flight at
-      once. Replies stay bitwise identical to the sequential daemon: a
-      {e slot sequencer} emits queued replies (and their cache stores)
-      in admission-pop order regardless of completion order, and a job
-      whose fingerprint is already being solved parks until its twin's
-      slot lands — then hits the just-stored entry exactly as the
-      sequential cache@dispatch re-check would. Inline warm-cache hits
-      never queue, so they keep overtaking long dives; that ordering
-      (hit before earlier-arrived solve) is the one deliberate
-      difference from the pool-less daemon, where a solve blocks the
-      loop.
+    - {b Concurrency}: one dispatch path. At [config.concurrency = 1]
+      {!poll} runs each dispatched solve inline (deterministic
+      transcript, no domains spawned — fork-safe for tests). At
+      [n > 1] it hands up to [n] solves at a time to a {!Par.Pool.t}
+      as fire-and-forget tasks; completions cross back to the main
+      loop through a mutex-protected queue, so the cache and the
+      client writers are only ever touched from the loop. What changes
+      at [n > 1]: replies leave in completion order, not arrival
+      order; up to [n] in-flight duplicates of one fingerprint may
+      each solve (a duplicate still queued when its twin lands hits
+      the cache at dispatch, as inline); and each reply's bytes still
+      equal the inline daemon's, except that a duplicate which solved
+      says [source: solver] where inline says [source: cache].
+      Warm-cache hits never queue, so at [n > 1] they overtake long
+      dives still in flight.
     - {b Sharding}: the warm cache is a {!Service.Shard} map of
       [config.cache_shards] independently-locked shards; every probe
       and insert below goes through its {!Service.Cache.view}, so the
       serving code — and the reply bytes — are identical at any shard
-      count. One shard (the default) behaves exactly like the plain
-      pre-shard cache.
+      count. One shard (the default) reads and writes the plain
+      [cache_path] file.
     - {b Persistence}: the cache loads warm from [cache_path] at
       start-up, flushes periodically (every [flush_period] seconds,
       when dirty) and always on shutdown — atomically {e per shard}
@@ -84,13 +79,6 @@ type config = {
   default_strategy : Service.Request.strategy;
   bound : int;  (** Admission bound: max queued + in-flight misses. *)
   concurrency : int;  (** [1] = inline solves; [n > 1] = pool of [n]. *)
-  fibers : bool;
-      (** Dispatch misses as suspendable {!Par.Fiber}s over the pool
-          (spawning one even at concurrency 1), replies sequenced in
-          admission order. *)
-  max_inflight : int;
-      (** Fiber mode only: max concurrently in-flight solve fibers
-          (default 32). *)
   cache_path : string option;
       (** Warm-start load at create, flush target afterwards. *)
   cache_entries : int option;  (** Total LRU entry bound (default 1024). *)
@@ -111,9 +99,8 @@ type config = {
 }
 
 val default_config : config
-(** 8 SPEs, portfolio strategy, bound 64, concurrency 1, fibers off
-    (max 32 in flight when on), one cache shard, no persistence, 30 s
-    flush period, no trace directory. *)
+(** 8 SPEs, portfolio strategy, bound 64, concurrency 1, one cache
+    shard, no persistence, 30 s flush period, no trace directory. *)
 
 type status = [ `Hit | `Solved | `Partial | `Rejected | `Error of string ]
 

@@ -114,10 +114,9 @@ let validate (r : Request.t) (entry : Cache.entry) assignment =
 (* One cache probe on precomputed key material; shared between the
    batch classifier and the daemon's hit path so both answer a given
    request bitwise alike. Every cache touch goes through a
-   {!Cache.view}, so the same code serves one plain cache or a
-   fingerprint-sharded map ({!Shard.view}) — the reply bytes depend
-   only on what the probe returns, which is why sharded and single
-   caches answer identically. *)
+   {!Cache.view} ({!Shard.view}) — the reply bytes depend only on what
+   the probe returns, which is why every shard count answers
+   identically. *)
 let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
   match view.Cache.probe fp with
   | None -> None
@@ -142,8 +141,6 @@ let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
 let try_cache_view ~view r =
   try_cache_keyed ~view r ~fp:(Request.fingerprint r)
     ~ord:(Streaming.Canonical.order r.Request.graph)
-
-let try_cache ~cache r = try_cache_view ~view:(Cache.view cache) r
 
 let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
     (assignment, period) =
@@ -178,10 +175,7 @@ let solved_response_view ?(store = true) ~view r result =
     ~ord:(Streaming.Canonical.order r.Request.graph)
     result
 
-let solved_response ?store ~cache r result =
-  solved_response_view ?store ~view:(Cache.view cache) r result
-
-let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
+let run_view ?(span = Obs.Span.null) ?pool ~view requests =
   Obs.Span.with_span span "batch" @@ fun span ->
   let t0 = Unix.gettimeofday () in
   let requests = Array.of_list requests in
@@ -221,8 +215,8 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
     Obs.Span.with_span span ("solve:" ^ String.sub fps.(i) 0 12) @@ fun span ->
     (* The yield tick suspends a fiber-run solve at node-budget
        boundaries so more misses than domains still interleave; it is
-       a no-op on the thunk and sequential paths and never stops the
-       solver, so all three paths compute identical results. *)
+       a no-op on the sequential path and never stops the solver, so
+       both paths compute identical results. *)
     let tick = Par.Fiber.yielder ~every:1 in
     let should_stop () =
       tick ();
@@ -233,17 +227,14 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
     in
     (i, assignment, period)
   in
-  (* Distinct misses fan out over the pool — as suspendable fibers by
-     default, as domain-granular thunks with [~fibers:false]; each
-     inner solve is deterministic, so fibered, pooled and sequential
-     batches agree bitwise. *)
+  (* Distinct misses fan out over the pool as suspendable fibers; each
+     inner solve is deterministic, so pooled and sequential batches
+     agree bitwise. *)
   let miss_indices = Array.of_list (List.rev !misses) in
   let solved =
     match pool with
     | Some p when Array.length miss_indices > 1 ->
-        if fibers then
-          Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
-        else Par.Pool.parallel_map p solve_one miss_indices
+        Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
     | _ -> Array.map solve_one miss_indices
   in
   Array.iter record_solved solved;
@@ -268,9 +259,6 @@ let run_view ?(span = Obs.Span.null) ?pool ?(fibers = true) ~view requests =
   |> List.map (function
        | Some r -> r
        | None -> assert false (* every index is classified above *))
-
-let run ?span ?pool ?fibers ~cache requests =
-  run_view ?span ?pool ?fibers ~view:(Cache.view cache) requests
 
 let render r =
   let buf = Buffer.create 256 in

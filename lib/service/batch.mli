@@ -1,12 +1,14 @@
-(** Batched mapping front end: answer a stream of {!Request}s from the
-    {!Cache}, solving only the distinct misses.
+(** Batched mapping front end: answer a stream of {!Request}s from a
+    {!Shard} map (through its {!Cache.view}), solving only the distinct
+    misses.
 
     {b Pipeline.} Requests are fingerprinted and classified in order:
     cache hits are answered by {e transporting} the stored canonical
     assignment onto the request graph through its own canonical order;
     duplicate fingerprints within the batch defer to the first
     occurrence's solve; the remaining distinct misses are dispatched —
-    over a {!Par.Pool.t} when given — to the requested solver
+    as {!Par.Fiber}s over a {!Par.Pool.t} when given — to the requested
+    solver
     ({!Cellsched.Portfolio} or {!Cellsched.Mapping_search}).
 
     {b Determinism.} Parallelism is {e across} requests only and every
@@ -62,16 +64,13 @@ val solve_request :
 
 val try_cache_view : view:Cache.view -> Request.t -> response option
 (** The pure hit path: fingerprint, transport, validate. [Some] is a
-    [Hit] response bitwise identical to what {!run} would return for a
-    singleton batch hitting the same entry; [None] is a miss (a failed
-    transport validation bumps [svc_transport_rejects_total], exactly as
-    in {!run}). Never solves. Every cache touch goes through the
-    [view], so a plain {!Cache.t} and a {!Shard.t} serve requests
-    through identical code — the basis of the sharded-vs-single
-    bitwise-identity guarantee. *)
-
-val try_cache : cache:Cache.t -> Request.t -> response option
-(** [try_cache_view] over {!Cache.view}[ cache]. *)
+    [Hit] response bitwise identical to what {!run_view} would return
+    for a singleton batch hitting the same entry; [None] is a miss (a
+    failed transport validation bumps [svc_transport_rejects_total],
+    exactly as in {!run_view}). Never solves. Every cache touch goes
+    through the [view] ({!Shard.view}), so every shard count serves
+    requests through identical code — the basis of the
+    sharded-vs-single bitwise-identity guarantee. *)
 
 val solved_response_view :
   ?store:bool -> view:Cache.view -> Request.t -> int array * float -> response
@@ -81,14 +80,9 @@ val solved_response_view :
     [store:false] for deadline-cancelled partial results so a timing-
     dependent incumbent can never poison the deterministic cache. *)
 
-val solved_response :
-  ?store:bool -> cache:Cache.t -> Request.t -> int array * float -> response
-(** [solved_response_view] over {!Cache.view}[ cache]. *)
-
 val run_view :
   ?span:Obs.Span.ctx ->
   ?pool:Par.Pool.t ->
-  ?fibers:bool ->
   view:Cache.view ->
   Request.t list ->
   response list
@@ -96,26 +90,16 @@ val run_view :
     place with every fresh solve.
 
     With a [pool], distinct misses fan out as suspendable
-    {!Par.Fiber}s by default, each yielding its domain at solver
-    node-budget boundaries so more misses than domains interleave;
-    [~fibers:false] restores the domain-granular thunk dispatch. Both
-    produce bytes identical to the sequential path — fibers schedule
-    execution, never results.
+    {!Par.Fiber}s, each yielding its domain at solver node-budget
+    boundaries so more misses than domains interleave. The bytes are
+    identical to the sequential path — fibers schedule execution,
+    never results.
 
     [span] (default {!Obs.Span.null}: free) records one ["batch"] span
     with a ["solve:<fp12>"] child per distinct miss (named by the first
     12 hex digits of the request fingerprint, so the merged stream is
     independent of which pool worker ran which solve), each containing
     the underlying solver's flight-recorder spans. *)
-
-val run :
-  ?span:Obs.Span.ctx ->
-  ?pool:Par.Pool.t ->
-  ?fibers:bool ->
-  cache:Cache.t ->
-  Request.t list ->
-  response list
-(** [run_view] over {!Cache.view}[ cache]. *)
 
 val render : response -> string
 (** Deterministic multi-line text block (the CLI output format; the

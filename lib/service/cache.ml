@@ -144,8 +144,6 @@ let entries t =
   |> List.sort (fun a b -> compare b.last_used a.last_used)
   |> List.map (fun node -> node.entry)
 
-let view t = { probe = find t; insert = add t }
-
 (* --- persistence ---------------------------------------------------------- *)
 
 (* Floats persist as hex-float strings ("%h"): bitwise exact, and inf
@@ -168,14 +166,16 @@ let entry_to_json e =
       ("bottleneck", Json.Str e.bottleneck);
     ]
 
-let to_json_string t =
+let entries_to_json_string entries =
   (* Oldest first, so reloading replays insertions in LRU order. *)
   Json.to_string
     (Json.Obj
        [
          ("cellsched_cache", Json.Num (float_of_int version));
-         ("entries", Json.Arr (List.rev_map entry_to_json (entries t)));
+         ("entries", Json.Arr (List.rev_map entry_to_json entries));
        ])
+
+let to_json_string t = entries_to_json_string (entries t)
 
 exception Corrupt of string
 
@@ -241,7 +241,7 @@ let load_string ?publish ?max_entries ?max_bytes s =
       if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_recovered;
       Error (empty (), reason)
 
-let load_file ?publish ?max_entries ?max_bytes path =
+let load_file ?publish ?max_entries ?max_bytes ?(on_corrupt = ignore) path =
   if not (Sys.file_exists path) then create ?publish ?max_entries ?max_bytes ()
   else
     match
@@ -253,9 +253,12 @@ let load_file ?publish ?max_entries ?max_bytes path =
     | contents -> (
         match load_string ?publish ?max_entries ?max_bytes contents with
         | Ok t -> t
-        | Error (t, _) -> t)
-    | exception Sys_error _ ->
+        | Error (t, reason) ->
+            on_corrupt reason;
+            t)
+    | exception Sys_error m ->
         if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_recovered;
+        on_corrupt m;
         create ?publish ?max_entries ?max_bytes ()
 
 module For_testing = struct

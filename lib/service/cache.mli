@@ -1,4 +1,7 @@
-(** LRU cache of solved mappings, keyed by request fingerprint.
+(** LRU cache of solved mappings, keyed by request fingerprint: one
+    shard of a {!Shard} map. Serving code never holds a [Cache.t]
+    directly; it goes through {!Shard}, whose one-shard form reads and
+    writes the same plain file documented here.
 
     Bounded both by entry count and by (approximate) resident bytes;
     inserting past either bound evicts least-recently-used entries and
@@ -32,9 +35,8 @@ type view = {
   insert : entry -> unit;
 }
 (** A cache as the batch front end sees it: probe and insert, nothing
-    else. {!Batch} routes every cache touch through a [view], so one
-    plain {!t} ({!val-view}) and a fingerprint-sharded map
-    ({!Shard.view}) serve requests through the same code path. *)
+    else. {!Batch} routes every cache touch through a [view], which
+    {!Shard.view} builds over a fingerprint-sharded map. *)
 
 type t
 
@@ -72,10 +74,12 @@ val add : t -> entry -> unit
 val entries : t -> entry list
 (** Most-recently-used first. *)
 
-val view : t -> view
-(** This cache as a {!type-view} (probe = {!find}, insert = {!add}). *)
-
 val to_json_string : t -> string
+
+val entries_to_json_string : entry list -> string
+(** The persisted document for [entries], given most-recently-used
+    first as {!entries} returns them ([to_json_string t] is
+    [entries_to_json_string (entries t)]). *)
 
 val load_string : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
   string -> (t, t * string) result
@@ -83,9 +87,10 @@ val load_string : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
     (and [svc_cache_recovered_total] is bumped). *)
 
 val load_file : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
-  string -> t
+  ?on_corrupt:(string -> unit) -> string -> t
 (** Total: missing file is a silent cold start; unreadable/corrupt
-    content recovers to empty as in {!load_string}. *)
+    content recovers to empty as in {!load_string}, and [on_corrupt]
+    (default: ignore) receives the reason. *)
 
 val save_file : ?force:bool -> t -> string -> (unit, string) result
 (** No-clobber unless [force = true]; [Error] carries the reason.

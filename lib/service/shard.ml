@@ -110,6 +110,8 @@ let shard_stats t =
   Array.init (shards t) (fun i ->
       locked t i (fun c -> (Cache.length c, Cache.bytes_used c)))
 
+let entries t = List.concat (List.init (shards t) (fun i -> locked t i Cache.entries))
+
 let view t = { Cache.probe = find t; insert = add t }
 
 (* --- persistence ---------------------------------------------------------- *)
@@ -123,23 +125,23 @@ let view t = { Cache.probe = find t; insert = add t }
 let shard_path path ~shards i =
   if shards = 1 then path else Printf.sprintf "%s.shard%d" path i
 
-(* Shard files written by a previous, larger shard count would be
-   silently resurrected by the next load; saving removes them. Files
-   are created densely from 0, so scanning up from [from] until the
-   first gap is total. *)
-let remove_stale path ~from =
-  let i = ref from in
-  while
-    !i <= max_shards
-    && Sys.file_exists (Printf.sprintf "%s.shard%d" path !i)
-  do
-    (try Sys.remove (Printf.sprintf "%s.shard%d" path !i)
-     with Sys_error _ -> ());
-    incr i
-  done
+(* The [path.shardI] files on disk from index [from] up. Files are
+   created densely from 0, so scanning until the first gap is total. *)
+let shard_files path ~from =
+  let rec go i acc =
+    let f = Printf.sprintf "%s.shard%d" path i in
+    if i <= max_shards && Sys.file_exists f then go (i + 1) (f :: acc)
+    else List.rev acc
+  in
+  go from []
 
 let save_files ?(force = false) t path =
   let n = shards t in
+  (* Shard files written by a previous, larger shard count would be
+     silently resurrected by the next load; saving removes them (and,
+     like {!Cache.save_file}, refuses to without [force]). A 1-shard
+     save writes the plain [path], so even [.shard0] is stale then. *)
+  let stale = shard_files path ~from:(if n = 1 then 0 else n) in
   let rec go i =
     if i >= n then Ok ()
     else
@@ -147,45 +149,33 @@ let save_files ?(force = false) t path =
       | Ok () -> go (i + 1)
       | Error _ as e -> e
   in
-  match go 0 with
-  | Ok () ->
-      (* A 1-shard save writes the plain [path], so even [.shard0] is
-         stale then. *)
-      remove_stale path ~from:(if n = 1 then 0 else n);
-      Ok ()
-  | Error _ as e -> e
+  match stale with
+  | f :: _ when not force ->
+      Error (Printf.sprintf "%s exists, not overwriting (use force)" f)
+  | _ -> (
+      match go 0 with
+      | Ok () ->
+          List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) stale;
+          Ok ()
+      | Error _ as e -> e)
 
-let load_files ?shards:(n = 1) ?max_entries ?max_bytes path =
+let load_files ?shards:(n = 1) ?max_entries ?max_bytes ?(on_corrupt = fun _ _ -> ())
+    path =
   let t = create ~shards:n ?max_entries ?max_bytes () in
   (* Which files exist on disk, not which this map would write: a map
      reconfigured from 4 shards to 2 (or to 1, or from a legacy single
      file to many) still loads everything, because each loaded entry is
      re-routed through [add] by its own fingerprint. *)
-  let files =
-    if n > 1 && Sys.file_exists (shard_path path ~shards:n 0) then
-      (* Dense scan from 0: count-independent discovery. *)
-      let rec go i acc =
-        if i > max_shards then List.rev acc
-        else
-          let f = Printf.sprintf "%s.shard%d" path i in
-          if Sys.file_exists f then go (i + 1) (f :: acc) else List.rev acc
-      in
-      go 0 []
-    else if n = 1 && Sys.file_exists (Printf.sprintf "%s.shard0" path) then
-      let rec go i acc =
-        let f = Printf.sprintf "%s.shard%d" path i in
-        if i <= max_shards && Sys.file_exists f then go (i + 1) (f :: acc)
-        else List.rev acc
-      in
-      go 0 []
-    else [ path ]
-  in
+  let files = match shard_files path ~from:0 with [] -> [ path ] | fs -> fs in
   List.iter
     (fun file ->
       (* Stage through an unsharded load (full budgets, corrupt files
          recover to empty and bump [svc_cache_recovered_total]), then
          replay oldest-first so per-shard LRU order is preserved. *)
-      let staged = Cache.load_file ~publish:false ?max_entries ?max_bytes file in
+      let staged =
+        Cache.load_file ~publish:false ?max_entries ?max_bytes
+          ~on_corrupt:(on_corrupt file) file
+      in
       List.iter (add t) (List.rev (Cache.entries staged)))
     files;
   t

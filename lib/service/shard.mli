@@ -57,6 +57,10 @@ val bytes_used : t -> int
 val shard_stats : t -> (int * int) array
 (** Per-shard [(entries, bytes)], for operators and the hammer suite. *)
 
+val entries : t -> Cache.entry list
+(** Every resident entry, shard by shard, most-recently-used first
+    within each shard (a 1-shard map lists in exact MRU order). *)
+
 val view : t -> Cache.view
 (** This map as a {!Cache.view}: {!Batch} and {!Daemon.Server} route
     every cache touch through it, so serving code is identical at any
@@ -69,15 +73,24 @@ val shard_path : string -> shards:int -> int -> string
 val save_files : ?force:bool -> t -> string -> (unit, string) result
 (** Save every shard (atomic per shard, see {!Cache.save_file});
     removes stale [path.shardJ] files left by a larger previous shard
-    count. Stops at the first failing shard and returns its reason —
+    count (a 1-shard save removes every [path.shardJ]). Without
+    [force], refuses if any file it would write or remove exists.
+    Stops at the first failing shard and returns its reason —
     already-written shards remain valid complete documents. *)
 
 val load_files :
-  ?shards:int -> ?max_entries:int -> ?max_bytes:int -> string -> t
+  ?shards:int ->
+  ?max_entries:int ->
+  ?max_bytes:int ->
+  ?on_corrupt:(string -> string -> unit) ->
+  string ->
+  t
 (** Total, like {!Cache.load_file}: missing files are a cold start,
-    corrupt ones recover to empty (per shard). Loads shard files when
-    any exist, else the legacy plain [path], re-routing every entry
-    through {!add} so shard-count changes migrate transparently. *)
+    corrupt ones recover to empty (per shard) after calling
+    [on_corrupt file reason]. Loads shard files when any exist, else
+    the plain [path], re-routing every entry through {!add} so
+    shard-count changes migrate transparently — in particular the
+    default 1-shard load reads a sharded daemon's files. *)
 
 (**/**)
 

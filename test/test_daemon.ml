@@ -267,9 +267,9 @@ let test_render_error_flattens () =
 
 let test_reply_framing () =
   let r = request () in
-  let cache = Cache.create () in
+  let view = Service.Shard.view (Service.Shard.create ()) in
   let response =
-    match Batch.run ~cache [ r ] with [ x ] -> x | _ -> assert false
+    match Batch.run_view ~view [ r ] with [ x ] -> x | _ -> assert false
   in
   Alcotest.(check string)
     "ok frame" ("BEGIN j7 ok\n" ^ Batch.render response ^ "END j7\n")
@@ -501,9 +501,9 @@ let test_shutdown_flush_warm_restart () =
       submit h2 ~id:"a" "gA" ~attrs:("spes=6 " ^ bb_attrs);
       Alcotest.(check bool) "warm hit" true
         ((reply_of h2 "a").Server.status = `Hit);
-      let batch_cache = Cache.load_file cache_path in
+      let view = Service.Shard.view (Service.Shard.load_files cache_path) in
       let batch_hit =
-        match Batch.run ~cache:batch_cache [ request () ] with
+        match Batch.run_view ~view [ request () ] with
         | [ r ] -> r
         | _ -> assert false
       in
@@ -713,11 +713,16 @@ let test_pool_matches_inline () =
       (fun id -> (id, Batch.render (Option.get (reply_of h id).Server.response)))
       ids
   in
-  let inline = run 1 and pooled = run 2 in
-  List.iter2
-    (fun (id, a) (_, b) ->
-      Alcotest.(check string) (id ^ " bitwise equal across pool sizes") a b)
-    inline pooled
+  let inline = run 1 in
+  List.iter
+    (fun size ->
+      List.iter2
+        (fun (id, a) (_, b) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s bitwise equal at pool %d" id size)
+            a b)
+        inline (run size))
+    [ 2; 4 ]
 
 (* ====================================================================== *)
 (* Serve loops                                                            *)

@@ -4,9 +4,9 @@
    propagation, qcheck scheduler-interleaving properties (random
    spawn/await/yield DAGs bitwise identical at pools 1/2/4, Incumbent
    winners included), a 10k-fiber cache hammer against a 4-way shard,
-   and the daemon-over-fibers contract: transcripts bitwise equal to
-   the fiber-less daemon across pools and in-flight windows, with
-   inline cache hits overtaking long dives. *)
+   and the daemon's pool mode: inline cache hits overtaking long dives,
+   duplicate storms bounded by the pool size, deadline partials never
+   cached. *)
 
 module Pool = Par.Pool
 module Fiber = Par.Fiber
@@ -413,7 +413,7 @@ let test_fiber_hammer () =
     (Shard.shard_stats t)
 
 (* ====================================================================== *)
-(* Daemon over fibers                                                     *)
+(* Daemon in pool mode                                                    *)
 (* ====================================================================== *)
 
 let random_graph rng n =
@@ -444,8 +444,7 @@ type harness = {
   replies : Server.reply list ref;  (* reverse arrival order *)
 }
 
-let harness ?(fibers = false) ?(concurrency = 1) ?(max_inflight = 32)
-    ?(strategy = bb_strategy) () =
+let harness ~concurrency ?(strategy = bb_strategy) () =
   let replies = ref [] in
   let server =
     Server.create
@@ -455,8 +454,6 @@ let harness ?(fibers = false) ?(concurrency = 1) ?(max_inflight = 32)
         Server.default_config with
         Server.bound = 32;
         concurrency;
-        fibers;
-        max_inflight;
         flush_period = 0.;
         default_strategy = strategy;
       }
@@ -469,66 +466,19 @@ let output h = Buffer.contents h.out
 let replied h id =
   List.exists (fun (r : Server.reply) -> r.Server.id = id) !(h.replies)
 
-let grid_lines =
-  [
-    "gA spes=6 id=a";
-    "gB spes=6 id=b";
-    "gA spes=6 id=a2" (* duplicate of a: dispatch-time hit *);
-    "gC spes=4 id=c";
-    "gB spes=6 id=b2" (* duplicate of b *);
-    "gA spes=4 id=d" (* same graph, distinct platform: a miss *);
-  ]
-
-let run_grid ~fibers ~concurrency ~max_inflight =
-  let h = harness ~fibers ~concurrency ~max_inflight () in
-  List.iter (feed h) grid_lines;
-  Server.drain h.server;
-  Server.finish h.server;
-  (output h, Server.stats h.server)
-
-(* The tentpole acceptance bar: the fiber daemon's transcript — reply
-   bytes and order, duplicate classification included — is the
-   sequential daemon's transcript, at every pool size and in-flight
-   window. *)
-let test_daemon_transcript_grid () =
-  let reference, ref_stats = run_grid ~fibers:false ~concurrency:1 ~max_inflight:32 in
-  Alcotest.(check bool) "reference transcript non-trivial" true
-    (String.length reference > 200);
-  Alcotest.(check int) "reference: both duplicates hit" 2 ref_stats.Server.hits;
-  Alcotest.(check int) "reference: four solves" 4 ref_stats.Server.solved;
-  List.iter
-    (fun size ->
-      List.iter
-        (fun max_inflight ->
-          let transcript, stats =
-            run_grid ~fibers:true ~concurrency:size ~max_inflight
-          in
-          let label =
-            Printf.sprintf "pool %d, max_inflight %d" size max_inflight
-          in
-          Alcotest.(check string)
-            (label ^ ": transcript bitwise equal") reference transcript;
-          Alcotest.(check int) (label ^ ": hits agree") ref_stats.Server.hits
-            stats.Server.hits;
-          Alcotest.(check int) (label ^ ": solved agree")
-            ref_stats.Server.solved stats.Server.solved)
-        [ 1; 4; 16 ])
-    pool_sizes
-
-(* The starvation fix, pinned on the transcript: with fibers the main
-   loop never runs a solve, so a warm-cache hit submitted after a long
-   dive replies inline — zero poll ticks — while the dive is still in
-   flight. The fiber-less concurrency-1 daemon blocks its loop on the
-   same dive, reversing the order. *)
+(* With a pool the main loop never runs a solve, so a warm-cache hit
+   submitted after a long dive replies inline — zero poll ticks — while
+   the dive is still in flight. The inline daemon (concurrency 1)
+   blocks its loop on the same dive, reversing the order. *)
 let long_bb = Req.Bb { rel_gap = 0.; max_nodes = 4_000 }
 
 let test_hit_overtakes_long_dive () =
-  let h = harness ~fibers:true ~concurrency:1 ~max_inflight:4 ~strategy:long_bb () in
+  let h = harness ~concurrency:2 ~strategy:long_bb () in
   (* warm the cache with gC *)
   feed h "gC spes=4 id=warm";
   Server.drain h.server;
   Alcotest.(check bool) "warmed" true (replied h "warm");
-  (* a long dive: dispatched onto a fiber by the first poll *)
+  (* a long dive: handed to the pool by the first poll *)
   feed h "gA spes=6 id=slow";
   Server.poll h.server;
   Alcotest.(check bool) "dive still in flight" false (replied h "slow");
@@ -549,9 +499,9 @@ let test_hit_overtakes_long_dive () =
   let fast = pos "BEGIN fast" transcript and slow = pos "BEGIN slow" transcript in
   Alcotest.(check bool) "transcript: fast before slow" true
     (fast >= 0 && slow >= 0 && fast < slow);
-  (* contrast: the fiber-less daemon solves inline in poll, so the same
-     driving sequence replies to the dive first *)
-  let h = harness ~fibers:false ~concurrency:1 ~strategy:long_bb () in
+  (* contrast: the inline daemon solves in poll, so the same driving
+     sequence replies to the dive first *)
+  let h = harness ~concurrency:1 ~strategy:long_bb () in
   feed h "gC spes=4 id=warm";
   Server.drain h.server;
   feed h "gA spes=6 id=slow";
@@ -562,31 +512,34 @@ let test_hit_overtakes_long_dive () =
   Server.finish h.server;
   let transcript = output h in
   let fast = pos "BEGIN fast" transcript and slow = pos "BEGIN slow" transcript in
-  Alcotest.(check bool) "transcript: slow before fast without fibers" true
+  Alcotest.(check bool) "transcript: slow before fast inline" true
     (fast >= 0 && slow >= 0 && slow < fast)
 
-(* Queued duplicates under a wide-open in-flight window: one solve, the
-   rest wait for its slot and then hit — never a second solve. *)
-let test_fiber_duplicate_storm () =
-  let h = harness ~fibers:true ~concurrency:2 ~max_inflight:16 () in
+(* Eight queued duplicates on a 2-worker pool: at most one solve per
+   worker is in flight before the first lands, and every later
+   duplicate hits the stored entry at dispatch. *)
+let test_pool_duplicate_storm () =
+  let concurrency = 2 in
+  let h = harness ~concurrency () in
   for i = 1 to 8 do
     feed h (Printf.sprintf "gB spes=6 id=dup%d" i)
   done;
   Server.drain h.server;
   Server.finish h.server;
   let s = Server.stats h.server in
-  Alcotest.(check int) "one solve" 1 s.Server.solved;
-  Alcotest.(check int) "seven dispatch hits" 7 s.Server.hits;
+  Alcotest.(check bool) "solves <= concurrency" true
+    (s.Server.solved >= 1 && s.Server.solved <= concurrency);
+  Alcotest.(check int) "hits + solved = 8" 8 (s.Server.hits + s.Server.solved);
   Alcotest.(check int) "every duplicate replied" 8 s.Server.replies;
   for i = 1 to 8 do
     Alcotest.(check bool) (Printf.sprintf "dup%d replied" i) true
       (replied h (Printf.sprintf "dup%d" i))
   done
 
-(* Deadline-expired partials flow through the fiber sequencer like any
-   other outcome — replied, tagged partial, never cached. *)
-let test_fiber_deadline_partial () =
-  let h = harness ~fibers:true ~concurrency:1 ~max_inflight:4 () in
+(* Deadline-expired partials come back from the pool like any other
+   outcome — replied, tagged partial, never cached. *)
+let test_pool_deadline_partial () =
+  let h = harness ~concurrency:2 () in
   feed h "gB spes=6 deadline=0.001 id=p1";
   Server.drain h.server;
   Server.finish h.server;
@@ -640,13 +593,11 @@ let () =
         [ Alcotest.test_case "10k fibers vs 4-way shard" `Quick test_fiber_hammer ] );
       ( "daemon",
         [
-          Alcotest.test_case "transcript bitwise grid" `Quick
-            test_daemon_transcript_grid;
           Alcotest.test_case "hit overtakes a long dive" `Quick
             test_hit_overtakes_long_dive;
-          Alcotest.test_case "duplicate storm: one solve" `Quick
-            test_fiber_duplicate_storm;
-          Alcotest.test_case "deadline partial over fibers" `Quick
-            test_fiber_deadline_partial;
+          Alcotest.test_case "duplicate storm: solves <= pool" `Quick
+            test_pool_duplicate_storm;
+          Alcotest.test_case "deadline partial in pool mode" `Quick
+            test_pool_deadline_partial;
         ] );
     ]

@@ -13,8 +13,13 @@ module Pf = Cellsched.Portfolio
 module Search = Cellsched.Mapping_search
 module Req = Service.Request
 module Cache = Service.Cache
+module Shard = Service.Shard
 module Batch = Service.Batch
 module Pool = Par.Pool
+
+(* Every batch goes through a shard map, the cache front door. *)
+let run ?pool cache requests =
+  Batch.run_view ?pool ~view:(Shard.view cache) requests
 
 let bits = Int64.bits_of_float
 
@@ -137,12 +142,12 @@ let hit_equals_fresh_portfolio =
       let g = random_graph rng n in
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
       let req = request platform g in
-      let cache = Cache.create () in
+      let cache = Shard.create () in
       let miss =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
+        match run cache [ req ] with [ r ] -> r | _ -> assert false
       in
       let hit =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
+        match run cache [ req ] with [ r ] -> r | _ -> assert false
       in
       if miss.Batch.source <> Batch.Solved then
         QCheck.Test.fail_reportf "first run should solve";
@@ -169,10 +174,10 @@ let hit_equals_fresh_bb =
       let g = random_graph rng n in
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
       let req = request ~strategy platform g in
-      let cache = Cache.create () in
-      ignore (Batch.run ~cache [ req ]);
+      let cache = Shard.create () in
+      ignore (run cache [ req ]);
       let hit =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
+        match run cache [ req ] with [ r ] -> r | _ -> assert false
       in
       if hit.Batch.source <> Batch.Hit then
         QCheck.Test.fail_reportf "second run should hit";
@@ -200,15 +205,15 @@ let relabeled_hit_transports =
       let rng = Support.Rng.create seed in
       let g = random_graph rng n in
       let platform = P.make ~n_ppe:1 ~n_spe:(2 + Support.Rng.int rng 3) () in
-      let cache = Cache.create () in
+      let cache = Shard.create () in
       let solved =
-        match Batch.run ~cache [ request platform g ] with
+        match run cache [ request platform g ] with
         | [ r ] -> r
         | _ -> assert false
       in
       let g', _ = relabel rng g in
       let resp =
-        match Batch.run ~cache [ request ~label:"relabeled" platform g' ] with
+        match run cache [ request ~label:"relabeled" platform g' ] with
         | [ r ] -> r
         | _ -> assert false
       in
@@ -261,16 +266,16 @@ let test_differential_batch () =
       let hits0 = counter_value "svc_hits_total"
       and misses0 = counter_value "svc_misses_total" in
       let reference =
-        let cache = Cache.create () in
-        List.concat_map (fun r -> Batch.run ~cache [ r ]) requests
+        let cache = Shard.create () in
+        List.concat_map (fun r -> run cache [ r ]) requests
         |> render_all
       in
       let runs = ref 1 in
       List.iter
         (fun size ->
           Pool.with_pool ~size (fun pool ->
-              let cache = Cache.create () in
-              let out = render_all (Batch.run ~pool ~cache requests) in
+              let cache = Shard.create () in
+              let out = render_all (run ~pool cache requests) in
               incr runs;
               Alcotest.(check string)
                 (Printf.sprintf "pool=%d byte-identical to sequential loop" size)
@@ -282,6 +287,100 @@ let test_differential_batch () =
         "svc_hits + svc_misses = requests served" (!runs * n) (hits + misses);
       (* The duplicate, isomorphic-duplicate and repeated requests hit. *)
       Alcotest.(check int) "hits per run" (!runs * 3) hits)
+
+(* ====================================================================== *)
+(* The cache and batch CLIs over a sharded daemon's cache                 *)
+(* ====================================================================== *)
+
+(* The CLI binary, a declared dependency of this test directory. *)
+let cli = Filename.concat (Filename.concat Filename.parent_dir_name "bin") "cellsched_cli.exe"
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* Exit code, stdout and stderr of one CLI run. *)
+let run_cli args =
+  let out = Filename.temp_file "cellsched_cli" ".out"
+  and err = Filename.temp_file "cellsched_cli" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ out; err ])
+    (fun () ->
+      let code = Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:err) in
+      (code, read_file out, read_file err))
+
+(* A daemon started with --cache-shards 2 flushes FILE.shard0 and
+   FILE.shard1 and no plain FILE. [cache FILE] must list those entries
+   and [batch --cache FILE] must answer the same requests from them,
+   then write them back as the plain FILE. *)
+let test_cli_reads_sharded_cache () =
+  let dir = Filename.temp_file "cellsched_cli" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let path name = Filename.concat dir name in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (path f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let rng = Support.Rng.create 31 in
+      Streaming.Serialize.to_file (random_graph rng 8) (path "a.graph");
+      Streaming.Serialize.to_file (random_graph rng 10) (path "b.graph");
+      let lines =
+        [
+          path "a.graph" ^ " spes=4 strategy=bb max-nodes=2000";
+          path "b.graph" ^ " spes=4";
+        ]
+      in
+      let requests =
+        List.mapi
+          (fun i line ->
+            Option.get
+              (Req.parse_line ~load_graph:Streaming.Serialize.of_file (i + 1)
+                 line))
+          lines
+      in
+      let cache_file = path "c.json" in
+      let daemon_cache = Shard.create ~shards:2 () in
+      ignore (run daemon_cache requests);
+      (match Shard.save_files daemon_cache cache_file with
+      | Ok () -> ()
+      | Error m -> Alcotest.fail m);
+      Alcotest.(check (list bool)) "daemon layout: two shard files, no plain file"
+        [ true; true; false ]
+        (List.map Sys.file_exists
+           [ cache_file ^ ".shard0"; cache_file ^ ".shard1"; cache_file ]);
+      let code, listing, _ = run_cli [ "cache"; cache_file ] in
+      Alcotest.(check int) "cache exit code" 0 code;
+      Alcotest.(check bool) "cache lists both entries" true
+        (contains (cache_file ^ ": 2 entries") listing);
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "fingerprint listed" true
+            (contains (Req.fingerprint r) listing))
+        requests;
+      let code, _, _ = run_cli [ "cache"; cache_file; "--clear" ] in
+      Alcotest.(check int) "clear without --force refuses" 2 code;
+      Alcotest.(check bool) "shard files untouched" true
+        (Sys.file_exists (cache_file ^ ".shard0"));
+      let requests_file = path "requests.txt" in
+      Out_channel.with_open_bin requests_file (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      let code, _, summary =
+        run_cli [ "batch"; requests_file; "--cache"; cache_file ]
+      in
+      Alcotest.(check int) "batch exit code" 0 code;
+      Alcotest.(check bool) "batch answers every request from cache" true
+        (contains "2 request(s), 2 from cache, 0 solved" summary);
+      Alcotest.(check (list bool)) "written back as the plain file"
+        [ false; false; true ]
+        (List.map Sys.file_exists
+           [ cache_file ^ ".shard0"; cache_file ^ ".shard1"; cache_file ]);
+      Alcotest.(check int) "a 2-shard reload sees both entries" 2
+        (Shard.length (Shard.load_files ~shards:2 cache_file)))
 
 (* ====================================================================== *)
 (* Persistence                                                            *)
@@ -512,17 +611,17 @@ let test_transport_reject_falls_back () =
       let g = random_graph rng 8 in
       let platform = P.qs22 ~n_spe:4 () in
       let req = request platform g in
-      let cache = Cache.create () in
+      let cache = Shard.create () in
       (* Poison the cache under the request's own fingerprint with a
          wrong-arity assignment: the hit must be rejected and re-solved. *)
-      Cache.add cache
+      Shard.add cache
         {
           (sample_entry ~fp:(Req.fingerprint req) ()) with
           Cache.canonical_assignment = [| 0 |];
         };
       let rejects0 = counter_value "svc_transport_rejects_total" in
       let resp =
-        match Batch.run ~cache [ req ] with [ r ] -> r | _ -> assert false
+        match run cache [ req ] with [ r ] -> r | _ -> assert false
       in
       Alcotest.(check bool) "fell back to a solve" true
         (resp.Batch.source = Batch.Solved);
@@ -592,6 +691,8 @@ let () =
             test_differential_batch ] );
       ( "persistence",
         [
+          Alcotest.test_case "cache + batch CLIs read a sharded cache" `Quick
+            test_cli_reads_sharded_cache;
           Alcotest.test_case "save/load round-trip" `Quick
             test_persistence_roundtrip;
           Alcotest.test_case "fault recovery" `Quick test_persistence_faults;

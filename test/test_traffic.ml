@@ -216,7 +216,7 @@ let test_budget_split () =
 let render_all responses = String.concat "\n" (List.map Batch.render responses)
 
 let serve_reference requests =
-  render_all (Batch.run ~cache:(Cache.create ()) requests)
+  render_all (Batch.run_view ~view:(Shard.view (Shard.create ())) requests)
 
 let serve_sharded ~shards ~pool_size requests =
   let shard = Shard.create ~shards ~max_entries:256 () in
@@ -230,7 +230,7 @@ let serve_sharded ~shards ~pool_size requests =
 
 let test_bitwise_grid () =
   (* The full published matrix: one zipfian stream, served through a
-     single plain cache and through every shards x pool combination the
+     default one-shard map and through every shards x pool combination the
      issue names. Whole rendered transcripts compare byte-for-byte. *)
   let requests = Array.to_list (Wl.generate (spec ~requests:60 ())) in
   let reference = serve_reference requests in
