@@ -95,6 +95,7 @@ let stage_hist stage =
     ~help:"Per-request stage latency (seconds), by stage" "daemon_stage_seconds"
     ~labels:[ "stage" ] [ stage ]
 
+let h_stage_parse = stage_hist "parse"
 let h_stage_queue = stage_hist "queue"
 let h_stage_cache = stage_hist "cache"
 let h_stage_solve = stage_hist "solve"
@@ -189,6 +190,12 @@ type t = {
   completed : done_item Queue.t;
   completed_mutex : Mutex.t;
   stop : bool Atomic.t;
+  (* Self-pipe, both ends non-blocking: a byte in it means "poll has
+     work that no fd shows" — a completion queued by a pool worker or a
+     shutdown request from a signal handler. Only [wait] reads it. *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  wake_open : bool Atomic.t;
   load_graph : string -> Streaming.Graph.t;
   on_reply : reply -> unit;
   (* Completed span trees for the TRACE verb, bounded FIFO. Touched only
@@ -244,6 +251,9 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
   (match config.trace_dir with
   | Some dir -> ( try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
   | None -> ());
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock wake_r;
+  Unix.set_nonblock wake_w;
   {
     config;
     shard;
@@ -253,6 +263,9 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     completed = Queue.create ();
     completed_mutex = Mutex.create ();
     stop = Atomic.make false;
+    wake_r;
+    wake_w;
+    wake_open = Atomic.make true;
     load_graph;
     on_reply;
     traces = Hashtbl.create 64;
@@ -285,7 +298,28 @@ let stats t =
     replies = t.replies;
   }
 
-let request_shutdown t = Atomic.set t.stop true
+let wake_fd t = t.wake_r
+
+(* Safe from a signal handler and from pool workers, so it never
+   raises: a full pipe (EAGAIN) already holds the byte that guarantees
+   the wake, and a closed engine has no loop left to wake. *)
+let wake t =
+  if Atomic.get t.wake_open then
+    try ignore (Unix.single_write_substring t.wake_w "!" 0 1)
+    with Unix.Unix_error _ -> ()
+
+let close_wake t =
+  if Atomic.exchange t.wake_open false then begin
+    Unix.close t.wake_r;
+    Unix.close t.wake_w
+  end
+
+(* Stop flag first, byte second: a loop that consumes the byte then
+   re-checks the flag is guaranteed to see it set. *)
+let request_shutdown t =
+  Atomic.set t.stop true;
+  wake t
+
 let shutdown_requested t = Atomic.get t.stop
 
 let idle t =
@@ -338,24 +372,29 @@ let write_metrics_file path =
 
 let flush t =
   (match t.config.cache_path with
-  | Some path -> (
-      match Shard.save_files ~force:true t.shard path with
+  | Some path ->
+      (match Shard.save_files ~force:true t.shard path with
       | Ok () ->
           t.dirty <- false;
-          t.last_flush <- Unix.gettimeofday ();
           metrics_inc m_flushes
-      | Error m -> Printf.eprintf "cellsched serve: cache flush: %s\n%!" m)
+      | Error m -> Printf.eprintf "cellsched serve: cache flush: %s\n%!" m);
+      (* Stamped after a failed flush too: the loop's [select] sleeps
+         until the next period instead of retrying in a hot spin. *)
+      t.last_flush <- Unix.gettimeofday ()
   | None -> ());
   match t.config.metrics_file with
   | Some path -> write_metrics_file path
   | None -> ()
 
+(* Seconds until the periodic flush falls due (<= 0: due now), or
+   [None] when there is nothing to flush periodically. *)
+let flush_due_in t =
+  if t.dirty && t.config.cache_path <> None && t.config.flush_period > 0.
+  then Some (t.last_flush +. t.config.flush_period -. Unix.gettimeofday ())
+  else None
+
 let maybe_flush t =
-  if
-    t.dirty && t.config.cache_path <> None
-    && t.config.flush_period > 0.
-    && Unix.gettimeofday () -. t.last_flush >= t.config.flush_period
-  then flush t
+  match flush_due_in t with Some d when d <= 0. -> flush t | _ -> ()
 
 (* --- request lifecycle ---------------------------------------------------- *)
 
@@ -481,8 +520,13 @@ let run_job t (job : job) =
   if Obs.Metrics.enabled () then
     Obs.Metrics.Histogram.observe h_stage_solve (Unix.gettimeofday () -. t0);
   Mutex.lock t.completed_mutex;
+  let was_empty = Queue.is_empty t.completed in
   Queue.push { job; outcome } t.completed;
-  Mutex.unlock t.completed_mutex
+  Mutex.unlock t.completed_mutex;
+  (* Only the empty -> non-empty edge needs a byte: the loop reaps the
+     whole queue per wake, and [wait] consumes bytes before the reap,
+     so a later push into a non-empty queue rides this byte's wake. *)
+  if was_empty then wake t
 
 let finish_job t { job; outcome } =
   Admission.finish t.admission;
@@ -558,6 +602,9 @@ let poll t =
   publish_queue t
 
 let handle_line t ~out line =
+  (* Receipt is stamped before parsing: loading and parsing the graph
+     file counts toward the reply latency and the deadline budget. *)
+  let received = Unix.gettimeofday () in
   t.line_no <- t.line_no + 1;
   match
     Protocol.parse ~load_graph:t.load_graph
@@ -589,12 +636,17 @@ let handle_line t ~out line =
       t.received <- t.received + 1;
       metrics_inc m_requests;
       let id = match id with Some id -> id | None -> next_id t in
-      let received = Unix.gettimeofday () in
+      let parsed = Unix.gettimeofday () in
       (* Every request gets a private span collector rooted at its id;
          the root "request" span itself is recorded when the reply goes
          out, but children nest under it from the first probe on. *)
       let trace = Obs.Span.collector () in
       let span = Obs.Span.sub (Obs.Span.root trace ~trace:id) "request" in
+      (* The parse ran before the request had an id to trace under, so
+         its span is recorded retroactively from the receipt stamp. *)
+      Obs.Span.record span ~t_start:received ~t_stop:parsed "parse";
+      if Obs.Metrics.enabled () then
+        Obs.Metrics.Histogram.observe h_stage_parse (parsed -. received);
       (* The warm-cache hit path never queues: it is answered inline,
          bypassing admission control entirely, so an overloaded daemon
          keeps serving everything it already knows. *)
@@ -633,17 +685,45 @@ let handle_line t ~out line =
 
 (* --- lifecycle ------------------------------------------------------------ *)
 
+(* The one blocking point of every loop: sleep until one of [fds] or
+   the wake pipe is readable, or the next periodic flush falls due;
+   don't sleep at all while {!poll} could dispatch queued work right
+   away. Consumes pending wake bytes {e before} the caller's next
+   [poll] reaps the completion queue (see [run_job]). Returns the
+   readable members of [fds]. *)
+let wait t fds =
+  let timeout =
+    if
+      Admission.pending t.admission > 0
+      && Admission.inflight t.admission < t.config.concurrency
+    then 0.
+    else match flush_due_in t with Some d -> Float.max 0. d | None -> -1.
+  in
+  match Unix.select (t.wake_r :: fds) [] [] timeout with
+  | readable, _, _ ->
+      if List.mem t.wake_r readable then (
+        try ignore (Unix.read t.wake_r (Bytes.create 64) 0 64)
+        with Unix.Unix_error _ -> ());
+      List.filter (fun fd -> fd <> t.wake_r) readable
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+
 let drain t =
   while not (idle t) do
     poll t;
-    if not (idle t) then Unix.sleepf 0.002
+    if not (idle t) then ignore (wait t [])
   done
+
+(* Pool first, then the wake pipe: once the workers are joined none
+   can still be writing to it. *)
+let release t =
+  (match t.pool with Some pool -> Par.Pool.shutdown pool | None -> ());
+  close_wake t
 
 let finish t =
   drain t;
   flush t;
   publish_queue t;
-  match t.pool with Some pool -> Par.Pool.shutdown pool | None -> ()
+  release t
 
 let shutdown t =
   (* The stop flag cancels every in-flight solve; [drain] then
@@ -703,20 +783,15 @@ let serve_fd ?on_reply ?load_graph config ~input ~output =
   let chunk = Bytes.create 65536 in
   let eof = ref false in
   while (not (shutdown_requested t)) && not (!eof && idle t) do
-    (if !eof then Unix.sleepf 0.002
-     else
-       let readable =
-         match Unix.select [ input ] [] [] 0.05 with
-         | r, _, _ -> r <> []
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-       in
-       if readable then
-         match Unix.read input chunk 0 (Bytes.length chunk) with
-         | 0 -> eof := true
-         | n ->
-             Buffer.add_subbytes buf chunk 0 n;
-             drain_lines buf (handle_line t ~out)
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    (* After EOF only the wake pipe and the flush timer are left. *)
+    if wait t (if !eof then [] else [ input ]) <> [] then begin
+      match Unix.read input chunk 0 (Bytes.length chunk) with
+      | 0 -> eof := true
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain_lines buf (handle_line t ~out)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    end;
     poll t
   done;
   (* A final line without a trailing newline still deserves a reply. *)
@@ -734,11 +809,18 @@ let serve_socket ?on_reply ?load_graph config ~path =
       if st.Unix.st_kind = Unix.S_SOCK then Unix.unlink path
       else failwith (path ^ " exists and is not a socket")
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ());
-  let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind srv (Unix.ADDR_UNIX path);
-  Unix.listen srv 16;
   let t = create ?on_reply ?load_graph config in
+  (* Handlers go in before the socket file appears, so a supervisor
+     may signal as soon as it sees the path. *)
   install_signals t;
+  let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Unix.bind srv (Unix.ADDR_UNIX path);
+     Unix.listen srv 16
+   with e ->
+     Unix.close srv;
+     release t;
+     raise e);
   let clients : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
   let close_client fd =
     (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -752,31 +834,27 @@ let serve_socket ?on_reply ?load_graph config ~path =
   let chunk = Bytes.create 65536 in
   while not (shutdown_requested t) do
     let fds = Hashtbl.fold (fun fd _ acc -> fd :: acc) clients [ srv ] in
-    (match Unix.select fds [] [] 0.05 with
-    | readable, _, _ ->
-        List.iter
-          (fun fd ->
-            if fd == srv then (
-              match Unix.accept srv with
-              | cfd, _ -> Hashtbl.replace clients cfd (Buffer.create 1024)
-              | exception Unix.Unix_error _ -> ())
-            else
-              match Hashtbl.find_opt clients fd with
-              | None -> ()
-              | Some buf -> (
-                  match Unix.read fd chunk 0 (Bytes.length chunk) with
-                  | 0 ->
-                      if Buffer.length buf > 0 then
-                        handle_line t ~out:(client_out fd)
-                          (Buffer.contents buf);
-                      close_client fd
-                  | n ->
-                      Buffer.add_subbytes buf chunk 0 n;
-                      drain_lines buf (handle_line t ~out:(client_out fd))
-                  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-                  | exception Unix.Unix_error _ -> close_client fd))
-          readable
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+    List.iter
+      (fun fd ->
+        if fd == srv then (
+          match Unix.accept srv with
+          | cfd, _ -> Hashtbl.replace clients cfd (Buffer.create 1024)
+          | exception Unix.Unix_error _ -> ())
+        else
+          match Hashtbl.find_opt clients fd with
+          | None -> ()
+          | Some buf -> (
+              match Unix.read fd chunk 0 (Bytes.length chunk) with
+              | 0 ->
+                  if Buffer.length buf > 0 then
+                    handle_line t ~out:(client_out fd) (Buffer.contents buf);
+                  close_client fd
+              | n ->
+                  Buffer.add_subbytes buf chunk 0 n;
+                  drain_lines buf (handle_line t ~out:(client_out fd))
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+              | exception Unix.Unix_error _ -> close_client fd))
+      (wait t fds);
     poll t
   done;
   shutdown t;

@@ -25,7 +25,10 @@
       [n > 1] it hands up to [n] solves at a time to a {!Par.Pool.t}
       as fire-and-forget tasks; completions cross back to the main
       loop through a mutex-protected queue, so the cache and the
-      client writers are only ever touched from the loop. What changes
+      client writers are only ever touched from the loop. A worker
+      that makes that queue non-empty writes one byte to the engine's
+      wake pipe ({!wake_fd}), so the loop replies as soon as a solve
+      lands instead of on a timer. What changes
       at [n > 1]: replies leave in completion order, not arrival
       order; up to [n] in-flight duplicates of one fingerprint may
       each solve (a duplicate still queued when its twin lands hits
@@ -41,13 +44,16 @@
       count. One shard (the default) reads and writes the plain
       [cache_path] file.
     - {b Persistence}: the cache loads warm from [cache_path] at
-      start-up, flushes periodically (every [flush_period] seconds,
-      when dirty) and always on shutdown — atomically {e per shard}
+      start-up, flushes periodically ([flush_period] seconds after the
+      last flush, when dirty; the serve loops' [select] timeout is set
+      to that deadline) and always on shutdown — atomically {e per shard}
       ({!Service.Shard.save_files}), so a kill mid-flush never loses
       any shard's previous complete snapshot. Shard-count changes
       (and legacy single-file caches) migrate automatically at load.
     - {b Shutdown}: SIGINT/SIGTERM (installed by the serve loops) and
-      the [QUIT] verb set one atomic flag; in-flight solves cancel,
+      the [QUIT] verb set one atomic flag and write a wake byte, so a
+      loop blocked with nothing to do notices at once; in-flight
+      solves cancel,
       still-pending requests are dispatched and cancel on their first
       check, so {e every admitted request is replied to} (tagged
       partial) before the final flush — a SIGTERM drops nothing.
@@ -55,7 +61,9 @@
     - {b Tracing}: every submitted request owns a private
       {!Obs.Span.collector}; the engine records a span tree rooted at
       a ["request"] span (annotated with status, priority and SLO
-      outcome) with children for the cache probe ([cache] at receipt,
+      outcome; its start is the receipt stamp, taken before the line is
+      parsed) with children for the line and graph parse ([parse]), the
+      cache probe ([cache] at receipt,
       [cache@dispatch] at the queue head), the admission-queue wait
       ([queue], stamped from receipt), the [solve] (whose subtree is
       the solver flight recorder of {!Service.Batch.solve_request} —
@@ -144,19 +152,30 @@ val stats : t -> stats
 val handle_line : t -> out:(string -> unit) -> string -> unit
 (** Parse and act on one protocol line. Verbs, malformed lines, cache
     hits and admission rejections reply immediately through [out];
-    admitted misses wait for {!poll}. *)
+    admitted misses wait for {!poll}. A request's latency and deadline
+    budget start when this is called, before the line is parsed. *)
 
 val poll : t -> unit
 (** Advance the engine: reap completed solves (replying through each
     job's own [out]), dispatch pending work up to [concurrency], and
-    run the periodic flush. Non-blocking with a pool; with
-    [concurrency = 1] it runs every pending solve inline. *)
+    run the periodic flush if it is due. Never blocks on other work:
+    with a pool it only hands solves out; with [concurrency = 1] it
+    runs a dispatched solve inline. It does not read {!wake_fd}. *)
+
+val wake_fd : t -> Unix.file_descr
+(** Read end of the engine's wake pipe. It turns readable when a pool
+    solve completes into an empty completion queue, or when
+    {!request_shutdown} is called; the serve loops, {!drain} and
+    {!finish} block in [select] on it (plus client fds and the flush
+    deadline) — there is no fixed tick. Closed by {!finish}. *)
 
 val idle : t -> bool
 (** No pending, in-flight or unreaped work. *)
 
 val drain : t -> unit
-(** {!poll} until {!idle} — lets outstanding work complete normally. *)
+(** {!poll} until {!idle} — lets outstanding work complete normally.
+    Between polls it sleeps on {!wake_fd} (or the flush deadline), so
+    it burns no CPU while solves run on the pool. *)
 
 val flush : t -> unit
 (** Persist now: cache to [cache_path] (atomic, forced) and the
@@ -164,18 +183,21 @@ val flush : t -> unit
 
 val request_shutdown : t -> unit
 (** Signal-safe: sets the atomic stop flag, which also cancels
-    in-flight solves at their next check. The serve loops notice it on
-    their next iteration; engine users should call {!shutdown}. *)
+    in-flight solves at their next check, then writes a byte to
+    {!wake_fd}, so a serve loop blocked in [select] wakes at once,
+    even with no client and no timer. Engine users should call
+    {!shutdown}. *)
 
 val shutdown_requested : t -> bool
 
 val finish : t -> unit
 (** Graceful end-of-input (the pipe EOF path): drain letting solves
-    complete, flush, stop the pool. *)
+    complete, flush, stop the pool, close both ends of the wake pipe.
+    Idempotent. *)
 
 val shutdown : t -> unit
 (** Fast stop (the SIGTERM/QUIT path): cancel in-flight solves, reply
-    [partial] to everything admitted, flush, stop the pool. *)
+    [partial] to everything admitted, then {!finish}. *)
 
 val serve_fd :
   ?on_reply:(reply -> unit) ->
@@ -186,8 +208,10 @@ val serve_fd :
   t
 (** Pipe mode: read lines from [input], write replies to [output],
     until EOF (then {!finish}) or SIGINT/SIGTERM/[QUIT] (then
-    {!shutdown}). Enables metrics and installs signal handlers.
-    Returns the engine for post-mortem {!stats}. *)
+    {!shutdown}). Each iteration blocks in one [select] on [input]
+    (until EOF) and {!wake_fd}, timed out only by a due periodic flush.
+    Enables metrics and installs signal handlers. Returns the engine
+    for post-mortem {!stats}. *)
 
 val serve_socket :
   ?on_reply:(reply -> unit) ->
@@ -197,6 +221,9 @@ val serve_socket :
   t
 (** Unix-domain-socket mode: listen on [path] (an existing socket file
     is replaced; anything else there fails), multiplex any number of
-    clients with [select], ignore SIGPIPE, swallow writes to
-    disconnected clients. [QUIT] or a signal stops the whole server
-    ({!shutdown}); the socket file is unlinked on exit. *)
+    clients with the same one-[select] wait as {!serve_fd} (listening
+    socket, clients, {!wake_fd}, flush deadline), ignore SIGPIPE,
+    swallow writes to disconnected clients. Signal handlers are in
+    place before the socket file appears. [QUIT] or a signal stops
+    the whole server ({!shutdown}); the socket file is unlinked on
+    exit. *)

@@ -3,8 +3,10 @@
    engine-level request lifecycles (reject at the bound, hits bypassing
    admission, deadline-expired partials validated feasible), graceful-
    shutdown cache flushes with bitwise warm restarts, pool-vs-inline
-   differential runs, and the two serve loops end to end (pipe fds and
-   a forked Unix-domain-socket server, including SIGTERM). *)
+   differential runs, the wake pipe (a pool completion wakes the loop;
+   engines leak no descriptors), and the two serve loops end to end
+   (pipe fds and a forked Unix-domain-socket server, including SIGTERM
+   of a busy and of an idle server). *)
 
 module P = Cell.Platform
 module G = Streaming.Graph
@@ -615,7 +617,7 @@ let test_trace_verb () =
     (fun stage ->
       Alcotest.(check bool) (stage ^ " stage present") true
         (List.mem_assoc ("/request/" ^ stage) spans))
-    [ "queue"; "solve"; "reply" ];
+    [ "parse"; "queue"; "solve"; "reply" ];
   Alcotest.(check bool) "cache probe present" true
     (List.mem_assoc "/request/cache" spans
     || List.mem_assoc "/request/cache@dispatch" spans);
@@ -633,6 +635,8 @@ let test_trace_verb () =
   check_well_parented spans2;
   Alcotest.(check bool) "hit cache probe" true
     (List.mem_assoc "/request/cache" spans2);
+  Alcotest.(check bool) "hit parse stage" true
+    (List.mem_assoc "/request/parse" spans2);
   Alcotest.(check bool) "hit has no solve stage" false
     (List.mem_assoc "/request/solve" spans2);
   Alcotest.(check bool) "hit status" true
@@ -686,6 +690,7 @@ let test_slo_metrics () =
           "daemon_slo_missed_total{band=\"low\"} 1";
           "daemon_slo_missed_total{band=\"high\"} 0";
           "daemon_deadline_slack_ms_bucket";
+          "daemon_stage_seconds_bucket{stage=\"parse\"";
           "daemon_stage_seconds_bucket{stage=\"solve\"";
           "daemon_stage_seconds_bucket{stage=\"queue\"";
           "daemon_stage_seconds_bucket{stage=\"reply\"";
@@ -694,6 +699,62 @@ let test_slo_metrics () =
       Alcotest.(check bool) "slack count is 2" true
         (contains "daemon_deadline_slack_ms_count 2" body);
       Server.finish h.server)
+
+(* The graph load happens inside [Protocol.parse]; a slow one must show
+   up in the reply latency and in a [parse] span, or that time would be
+   invisible to every latency metric and to the deadline budget. *)
+let test_receipt_before_parse () =
+  let delay = 0.05 in
+  let replies = ref [] in
+  let server =
+    Server.create
+      ~on_reply:(fun r -> replies := r :: !replies)
+      ~load_graph:(fun name ->
+        Unix.sleepf delay;
+        load_graph name)
+      (config ())
+  in
+  let h = { server; out = Buffer.create 256; replies } in
+  submit h ~id:"miss" "gA";
+  Server.drain h.server;
+  submit h ~id:"hit" "gA";
+  List.iter
+    (fun id ->
+      Alcotest.(check bool)
+        (id ^ ": latency covers the graph load")
+        true
+        ((reply_of h id).Server.latency >= delay);
+      let spans = trace_spans h id in
+      check_well_parented spans;
+      match List.assoc_opt "/request/parse" spans with
+      | None -> Alcotest.failf "%s: no parse span" id
+      | Some rest ->
+          let ms = Scanf.sscanf rest " dur_ms=%f" Fun.id in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: parse span %.3f ms covers the load" id ms)
+            true
+            (ms >= delay *. 1000.))
+    [ "miss"; "hit" ];
+  Server.finish h.server
+
+(* Every engine owns a wake pipe; the daemon suite builds dozens of
+   engines in one process, so finish and shutdown must close it, and a
+   second finish must be harmless. *)
+let test_wake_fd_hygiene () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let cycle i =
+    let h = harness () in
+    submit h ~id:"f" "gC";
+    if i mod 2 = 0 then Server.finish h.server else Server.shutdown h.server;
+    Server.finish h.server
+  in
+  cycle 0;
+  let before = open_fds () in
+  for i = 1 to 40 do
+    cycle i
+  done;
+  Alcotest.(check int) "open descriptors after 40 engines" before (open_fds ())
 
 let test_pool_matches_inline () =
   let ids = [ "x1"; "x2"; "x3"; "x4" ] in
@@ -723,6 +784,21 @@ let test_pool_matches_inline () =
             a b)
         inline (run size))
     [ 2; 4 ]
+
+(* No timer wakes the loop: the pool worker's completion byte
+   is the only thing that can make the wake fd readable here. Without
+   it the select below waits its full 10 s and the check fails. *)
+let test_pool_completion_wakes () =
+  let h = harness ~concurrency:2 () in
+  submit h ~id:"w1" "gB";
+  Server.poll h.server;
+  let readable, _, _ = Unix.select [ Server.wake_fd h.server ] [] [] 10. in
+  Alcotest.(check bool) "wake fd readable once the solve lands" true
+    (readable <> []);
+  Server.poll h.server;
+  Alcotest.(check bool) "the next poll delivers the reply" true
+    (List.exists (fun (r : Server.reply) -> r.Server.id = "w1") !(h.replies));
+  Server.finish h.server
 
 (* ====================================================================== *)
 (* Serve loops                                                            *)
@@ -776,11 +852,12 @@ let test_serve_pipe () =
           Alcotest.(check int) "framed replies" 3 (count_sub "BEGIN e" out);
           Alcotest.(check int) "error reply" 1 (count_sub "ERROR " out)))
 
-(* Drive a forked socket server: connect, run [dialogue], then stop the
-   child with [stop] (QUIT or a signal) and return (captured bytes,
-   child exit status). The child runs concurrency=1, so no domains are
-   alive at fork time in that process. *)
-let with_socket_server ?cache_path ~stop dialogue =
+(* Fork a socket server, wait for its socket file (which appears only
+   once its signal handlers are installed), run [f ~pid ~path], then
+   kill the child if it is still alive and remove its files. The child
+   runs concurrency=1, so no domains are alive at fork time in that
+   process. *)
+let with_forked_server ?cache_path f =
   let dir = temp_file ".d" in
   Unix.mkdir dir 0o700;
   let path = Filename.concat dir "daemon.sock" in
@@ -792,52 +869,54 @@ let with_socket_server ?cache_path ~stop dialogue =
       Unix._exit 0
   | pid ->
       Obs.Metrics.set_enabled was;
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-            (try Sys.remove path with Sys_error _ -> ());
-            (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ()))
-          (fun () ->
-            let deadline = Unix.gettimeofday () +. 10. in
-            while
-              (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline
-            do
-              Unix.sleepf 0.02
-            done;
-            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-            Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-              (fun () ->
-                Unix.connect fd (Unix.ADDR_UNIX path);
-                let send s =
-                  ignore (Unix.write_substring fd s 0 (String.length s))
-                in
-                let buf = Buffer.create 1024 in
-                let chunk = Bytes.create 4096 in
-                let read_until pred =
-                  let deadline = Unix.gettimeofday () +. 20. in
-                  while
-                    (not (pred (Buffer.contents buf)))
-                    && Unix.gettimeofday () < deadline
-                  do
-                    match Unix.select [ fd ] [] [] 0.2 with
-                    | [ _ ], _, _ -> (
-                        match Unix.read fd chunk 0 (Bytes.length chunk) with
-                        | 0 -> raise Exit
-                        | n -> Buffer.add_subbytes buf chunk 0 n)
-                    | _ -> ()
-                  done;
-                  if not (pred (Buffer.contents buf)) then
-                    Alcotest.failf "socket dialogue timed out with %S"
-                      (Buffer.contents buf)
-                in
-                dialogue ~send ~read_until;
-                stop ~send ~pid;
-                let _, status = Unix.waitpid [] pid in
-                (Buffer.contents buf, status)))
-      in
-      result
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+          (try Sys.remove path with Sys_error _ -> ());
+          (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ()))
+        (fun () ->
+          let deadline = Unix.gettimeofday () +. 10. in
+          while (not (Sys.file_exists path)) && Unix.gettimeofday () < deadline do
+            Unix.sleepf 0.02
+          done;
+          f ~pid ~path)
+
+(* Drive a forked socket server: connect, run [dialogue], then stop the
+   child with [stop] (QUIT or a signal) and return (captured bytes,
+   child exit status). *)
+let with_socket_server ?cache_path ~stop dialogue =
+  with_forked_server ?cache_path (fun ~pid ~path ->
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
+      (fun () ->
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        let send s =
+          ignore (Unix.write_substring fd s 0 (String.length s))
+        in
+        let buf = Buffer.create 1024 in
+        let chunk = Bytes.create 4096 in
+        let read_until pred =
+          let deadline = Unix.gettimeofday () +. 20. in
+          while
+            (not (pred (Buffer.contents buf)))
+            && Unix.gettimeofday () < deadline
+          do
+            match Unix.select [ fd ] [] [] 0.2 with
+            | [ _ ], _, _ -> (
+                match Unix.read fd chunk 0 (Bytes.length chunk) with
+                | 0 -> raise Exit
+                | n -> Buffer.add_subbytes buf chunk 0 n)
+            | _ -> ()
+          done;
+          if not (pred (Buffer.contents buf)) then
+            Alcotest.failf "socket dialogue timed out with %S"
+              (Buffer.contents buf)
+        in
+        dialogue ~send ~read_until;
+        stop ~send ~pid;
+        let _, status = Unix.waitpid [] pid in
+        (Buffer.contents buf, status)))
 
 let test_serve_socket_quit () =
   let captured, status =
@@ -904,6 +983,31 @@ let test_serve_socket_sigterm_flush () =
         (strip_source live_body) (strip_source hit_body);
       Server.finish h.server)
 
+(* An idle server with no client blocks in a select with no timeout:
+   only the signal itself can end it, so SIGTERM must still bring it
+   down promptly, unlinking its socket and flushing its cache. *)
+let test_serve_socket_sigterm_idle () =
+  let cache_path = temp_file ".json" in
+  Fun.protect ~finally:(fun () -> cleanup [ cache_path; Cache.temp_path cache_path ])
+    (fun () ->
+      with_forked_server ~cache_path (fun ~pid ~path ->
+          Unix.kill pid Sys.sigterm;
+          let deadline = Unix.gettimeofday () +. 2. in
+          let rec reap () =
+            match Unix.waitpid [ Unix.WNOHANG ] pid with
+            | 0, _ ->
+                if Unix.gettimeofday () > deadline then
+                  Alcotest.fail "idle server still running 2 s after SIGTERM";
+                Unix.sleepf 0.01;
+                reap ()
+            | _, status -> status
+          in
+          Alcotest.(check bool) "clean exit on SIGTERM" true
+            (reap () = Unix.WEXITED 0);
+          Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path);
+          Alcotest.(check bool) "cache flushed" true
+            (Sys.file_exists cache_path)))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "daemon"
@@ -948,6 +1052,10 @@ let () =
             test_slo_metrics;
           Alcotest.test_case "sharded cache keeps the transcript bitwise"
             `Quick test_sharded_transcript_bitwise;
+          Alcotest.test_case "receipt is stamped before parsing" `Quick
+            test_receipt_before_parse;
+          Alcotest.test_case "finish and shutdown close the wake pipe" `Quick
+            test_wake_fd_hygiene;
         ] );
       (* Socket tests fork, and OCaml 5 forbids Unix.fork once any domain
          has ever been spawned in the process, so they must run before the
@@ -959,10 +1067,14 @@ let () =
             test_serve_socket_quit;
           Alcotest.test_case "socket: SIGTERM flushes, restart is bitwise"
             `Quick test_serve_socket_sigterm_flush;
+          Alcotest.test_case "socket: SIGTERM wakes an idle server" `Quick
+            test_serve_socket_sigterm_idle;
         ] );
       ( "pool",
         [
           Alcotest.test_case "pool replies bitwise equal inline" `Quick
             test_pool_matches_inline;
+          Alcotest.test_case "a pool completion wakes the loop" `Quick
+            test_pool_completion_wakes;
         ] );
     ]
