@@ -124,6 +124,65 @@ let test_fingerprint_sensitivity () =
   differs "edge data changes the key"
     { base with Req.graph = G.map_edges (fun _ e -> e.G.data_bytes +. 1.) g }
 
+(* Persisted caches are keyed by these exact bytes: a change to the
+   refinement, the canonical form or the key layout silently orphans
+   every stored entry. If they must change, bump [Cache.version] (its
+   recover-to-empty path drops the old files) rather than editing the
+   pinned values. *)
+let test_fingerprint_golden () =
+  let graphs =
+    [
+      ("graph1", Daggen.Presets.random_graph_1 (), "03716720ee20e28e");
+      ("graph2", Daggen.Presets.random_graph_2 (), "6aa0c5cf195fd070");
+      ("graph3", Daggen.Presets.random_graph_3 (), "8a73cc4e889084c6");
+      ("audio", Daggen.Presets.audio_encoder (), "c8f0fc1cff30e7db");
+    ]
+  in
+  let golden =
+    [
+      ("graph1 spes=4", "c4b2071bd07659a92c11db004644ca38");
+      ("graph1 spes=8", "c4b2071bd07659a93a65ec520727f874");
+      ("graph1 spes=4 strategy=bb gap=0.05 max-nodes=50000",
+       "c4b2071bd07659a9d6e9690e46d70e80");
+      ("graph1 spes=8 strategy=bb gap=0.05 max-nodes=50000",
+       "c4b2071bd07659a9ee15b9d262f4243c");
+      ("graph2 spes=4", "3d5c3b2df5d2cee8d250d7f0dc106e7f");
+      ("graph2 spes=8", "3d5c3b2df5d2cee8ba85065fba87ce1b");
+      ("graph2 spes=4 strategy=bb gap=0.05 max-nodes=50000",
+       "3d5c3b2df5d2cee8b26b747110504837");
+      ("graph2 spes=8 strategy=bb gap=0.05 max-nodes=50000",
+       "3d5c3b2df5d2cee8850cc327ef95f463");
+      ("graph3 spes=4", "5c29231e3efbb1f8b2c5a149db43a24f");
+      ("graph3 spes=8", "5c29231e3efbb1f8b7fbd7acf30f9a4b");
+      ("graph3 spes=4 strategy=bb gap=0.05 max-nodes=50000",
+       "5c29231e3efbb1f88829eb4641007dc7");
+      ("graph3 spes=8 strategy=bb gap=0.05 max-nodes=50000",
+       "5c29231e3efbb1f8448fb8061d85bed3");
+      ("audio spes=4", "1c2dadb4968a850232b90a48199bb1a1");
+      ("audio spes=8", "1c2dadb4968a85021bd83e1408a4189d");
+      ("audio spes=4 strategy=bb gap=0.05 max-nodes=50000",
+       "1c2dadb4968a8502b58753220f8064a9");
+      ("audio spes=8 strategy=bb gap=0.05 max-nodes=50000",
+       "1c2dadb4968a850227735d9ec304a4e5");
+    ]
+  in
+  let load_graph name =
+    let _, g, _ = List.find (fun (n, _, _) -> n = name) graphs in
+    g
+  in
+  List.iter
+    (fun (name, g, order_hash) ->
+      let ord = Canon.order g in
+      Alcotest.(check string) (name ^ " order hash") order_hash
+        (Support.Fnv.to_hex (Array.fold_left Support.Fnv.add_int Support.Fnv.empty ord)))
+    graphs;
+  List.iter
+    (fun (line, fp) ->
+      match Req.parse_line ~load_graph 1 line with
+      | Some r -> Alcotest.(check string) line fp (Req.fingerprint r)
+      | None -> Alcotest.failf "%S did not parse" line)
+    golden
+
 (* ====================================================================== *)
 (* Cache hits bitwise-equal to fresh solves                               *)
 (* ====================================================================== *)
@@ -679,6 +738,8 @@ let () =
             test_fingerprint_distinct;
           Alcotest.test_case "key sensitivity" `Quick
             test_fingerprint_sensitivity;
+          Alcotest.test_case "golden keys of the presets" `Quick
+            test_fingerprint_golden;
         ] );
       ( "cache-hit equivalence",
         [
