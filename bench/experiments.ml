@@ -968,16 +968,13 @@ let search_par () =
     let rng = Support.Rng.create 77 in
     List.init fiber_requests (fun i ->
         let g = random_graph rng (8 + (i mod 5)) in
-        {
-          Service.Request.label = Printf.sprintf "fiber-bench-%d" i;
-          platform;
-          graph = g;
-          strategy =
-            Service.Request.Bb
-              { rel_gap = 0.05; max_nodes = (if quick then 2_000 else 8_000) };
-          deadline_ms = None;
-          prio = 0;
-        })
+        Service.Request.make
+          ~label:(Printf.sprintf "fiber-bench-%d" i)
+          ~platform ~graph:g
+          ~strategy:
+            (Service.Request.Bb
+               { rel_gap = 0.05; max_nodes = (if quick then 2_000 else 8_000) })
+          ~deadline_ms:None ~prio:0)
   in
   let render_all responses =
     String.concat "" (List.map Service.Batch.render responses)
@@ -1159,9 +1156,9 @@ let search_bb () =
       "WARNING: a 50-task preset the rebuilt engine must close stayed open";
   print_newline ()
 
-(* Mapping-service latency: cache-hit path (fingerprint + transport +
-   validate) vs solve path (full portfolio run) on every preset graph.
-   The acceptance bar is a >=10x hit-path advantage; in practice the gap
+(* Mapping-service latency: cache-hit path (canonicalise + probe +
+   transport + validate) vs solve path (full portfolio run) on every
+   preset graph. The acceptance bar is a >=10x hit-path advantage; in practice the gap
    is orders of magnitude. BENCH_service.json records both latencies,
    the speedup, and whether each hit reproduced the stored solve
    bitwise (identical resubmission => transport is the identity). *)
@@ -1181,21 +1178,18 @@ let service () =
   let all_bitwise = ref true in
   List.iter
     (fun (name, g) ->
-      let request =
-        {
-          Service.Request.label = name;
-          platform;
-          graph = g;
-          strategy =
-            Service.Request.Portfolio
-              { seed = Pf.default_seed + !seed; restarts };
-          deadline_ms = None;
-          prio = 0;
-        }
+      (* Built inside every repetition: the hit path's cost includes
+         canonicalising the request, which happens at construction. *)
+      let request () =
+        Service.Request.make ~label:name ~platform ~graph:g
+          ~strategy:
+            (Service.Request.Portfolio
+               { seed = Pf.default_seed + !seed; restarts })
+          ~deadline_ms:None ~prio:0
       in
       let view = Service.Shard.view (Service.Shard.create ()) in
       let one () =
-        match Service.Batch.run_view ~view [ request ] with
+        match Service.Batch.run_view ~view [ request () ] with
         | [ r ] -> r
         | _ -> assert false
       in

@@ -5,7 +5,6 @@ type source = Hit | Solved
 
 type response = {
   request : Request.t;
-  fingerprint : string;
   source : source;
   assignment : int array;
   period : float;
@@ -111,22 +110,20 @@ let validate (r : Request.t) (entry : Cache.entry) assignment =
   Int64.bits_of_float p = Int64.bits_of_float entry.Cache.period
   || Float.abs (p -. entry.Cache.period) <= 1e-9 *. Float.abs entry.Cache.period
 
-(* One cache probe on precomputed key material; shared between the
-   batch classifier and the daemon's hit path so both answer a given
-   request bitwise alike. Every cache touch goes through a
-   {!Cache.view} ({!Shard.view}) — the reply bytes depend only on what
-   the probe returns, which is why every shard count answers
-   identically. *)
-let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
-  match view.Cache.probe fp with
+(* The cache probe shared by the batch classifier and the daemon's hit
+   path, so both answer a given request bitwise alike. Every cache
+   touch goes through a {!Cache.view} ({!Shard.view}) — the reply bytes
+   depend only on what the probe returns, which is why every shard
+   count answers identically. *)
+let try_cache_view ~(view : Cache.view) (r : Request.t) =
+  match view.Cache.probe r.Request.fingerprint with
   | None -> None
   | Some entry -> (
-      match transport entry ord with
+      match transport entry r.Request.order with
       | Some assignment when validate r entry assignment ->
           Some
             {
               request = r;
-              fingerprint = fp;
               source = Hit;
               assignment;
               period = entry.Cache.period;
@@ -138,18 +135,14 @@ let try_cache_keyed ~(view : Cache.view) (r : Request.t) ~fp ~ord =
           if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_rejects;
           None)
 
-let try_cache_view ~view r =
-  try_cache_keyed ~view r ~fp:(Request.fingerprint r)
-    ~ord:(Streaming.Canonical.order r.Request.graph)
-
-let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
+let solved_response_view ?(store = true) ~(view : Cache.view) (r : Request.t)
     (assignment, period) =
   let feasible, throughput, bottleneck = summary r assignment period in
   if store then begin
-    let canonical = Array.map (fun id -> assignment.(id)) ord in
+    let canonical = Array.map (fun id -> assignment.(id)) r.Request.order in
     view.Cache.insert
       {
-        Cache.fingerprint = fp;
+        Cache.fingerprint = r.Request.fingerprint;
         strategy = Request.strategy_to_string r.Request.strategy;
         canonical_assignment = canonical;
         period;
@@ -160,7 +153,6 @@ let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
   end;
   {
     request = r;
-    fingerprint = fp;
     source = Solved;
     assignment;
     period;
@@ -169,24 +161,15 @@ let solved_keyed ~store ~(view : Cache.view) (r : Request.t) ~fp ~ord
     bottleneck;
   }
 
-let solved_response_view ?(store = true) ~view r result =
-  solved_keyed ~store ~view r
-    ~fp:(Request.fingerprint r)
-    ~ord:(Streaming.Canonical.order r.Request.graph)
-    result
-
 let run_view ?(span = Obs.Span.null) ?pool ~view requests =
   Obs.Span.with_span span "batch" @@ fun span ->
   let t0 = Unix.gettimeofday () in
   let requests = Array.of_list requests in
   let n = Array.length requests in
-  let fps = Array.map Request.fingerprint requests in
-  let ords =
-    Array.map (fun r -> Streaming.Canonical.order r.Request.graph) requests
-  in
+  let fp i = requests.(i).Request.fingerprint in
   let responses : response option array = Array.make n None in
   let try_hit i =
-    match try_cache_keyed ~view requests.(i) ~fp:fps.(i) ~ord:ords.(i) with
+    match try_cache_view ~view requests.(i) with
     | Some r ->
         responses.(i) <- Some r;
         true
@@ -197,22 +180,20 @@ let run_view ?(span = Obs.Span.null) ?pool ~view requests =
   let misses = ref [] and duplicates = ref [] in
   for i = 0 to n - 1 do
     if not (try_hit i) then
-      if Hashtbl.mem planned fps.(i) then duplicates := i :: !duplicates
+      if Hashtbl.mem planned (fp i) then duplicates := i :: !duplicates
       else begin
-        Hashtbl.add planned fps.(i) ();
+        Hashtbl.add planned (fp i) ();
         misses := i :: !misses
       end
   done;
   let record_solved (i, assignment, period) =
     responses.(i) <-
-      Some
-        (solved_keyed ~store:true ~view requests.(i) ~fp:fps.(i) ~ord:ords.(i)
-           (assignment, period))
+      Some (solved_response_view ~view requests.(i) (assignment, period))
   in
   (* Miss spans are named by the request fingerprint, so the merged
      stream is independent of which worker solved which miss. *)
   let solve_one i =
-    Obs.Span.with_span span ("solve:" ^ String.sub fps.(i) 0 12) @@ fun span ->
+    Obs.Span.with_span span ("solve:" ^ String.sub (fp i) 0 12) @@ fun span ->
     (* The yield tick suspends a fiber-run solve at node-budget
        boundaries so more misses than domains still interleave; it is
        a no-op on the sequential path and never stops the solver, so
@@ -264,7 +245,7 @@ let render r =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "# %s strategy=%s\n" r.request.Request.label
     (Request.strategy_to_string r.request.Request.strategy);
-  Printf.bprintf buf "fingerprint: %s\n" r.fingerprint;
+  Printf.bprintf buf "fingerprint: %s\n" r.request.Request.fingerprint;
   Printf.bprintf buf "source: %s\n"
     (match r.source with Hit -> "cache" | Solved -> "solver");
   Printf.bprintf buf "feasible: %b\n" r.feasible;

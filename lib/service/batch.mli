@@ -2,9 +2,12 @@
     {!Shard} map (through its {!Cache.view}), solving only the distinct
     misses.
 
-    {b Pipeline.} Requests are fingerprinted and classified in order:
-    cache hits are answered by {e transporting} the stored canonical
-    assignment onto the request graph through its own canonical order;
+    {b Pipeline.} Every request arrives keyed: its fingerprint and
+    canonical order were computed once, when it was built
+    ({!Request.make}), and nothing here canonicalises again. Requests
+    are classified in order: cache hits are answered by
+    {e transporting} the stored canonical assignment onto the request
+    graph through its own canonical order;
     duplicate fingerprints within the batch defer to the first
     occurrence's solve; the remaining distinct misses are dispatched —
     as {!Par.Fiber}s over a {!Par.Pool.t} when given — to the requested
@@ -37,8 +40,7 @@ type source =
   | Solved  (** A fresh solver run (misses and validation fallbacks). *)
 
 type response = {
-  request : Request.t;
-  fingerprint : string;
+  request : Request.t;  (** Carries the key: {!Request.fingerprint}. *)
   source : source;
   assignment : int array;  (** PE per task id of the {e request} graph. *)
   period : float;  (** The solver's canonical period. *)
@@ -63,7 +65,8 @@ val solve_request :
     always a feasible mapping — instead of running to completion. *)
 
 val try_cache_view : view:Cache.view -> Request.t -> response option
-(** The pure hit path: fingerprint, transport, validate. [Some] is a
+(** The pure hit path on the request's precomputed key: probe,
+    transport, validate. [Some] is a
     [Hit] response bitwise identical to what {!run_view} would return
     for a singleton batch hitting the same entry; [None] is a miss (a
     failed transport validation bumps [svc_transport_rejects_total],

@@ -11,6 +11,8 @@ type t = {
   strategy : strategy;
   deadline_ms : float option;
   prio : int;
+  fingerprint : string;
+  order : int array;
 }
 
 let default_strategy =
@@ -47,15 +49,18 @@ let strategy_hash = function
   | Bb { rel_gap; max_nodes } ->
       Fnv.(add_int (add_float (add_int empty 2) rel_gap) max_nodes)
 
-let fingerprint r =
-  let gfp = Streaming.Canonical.fingerprint r.graph in
+let make ~label ~platform ~graph ~strategy ~deadline_ms ~prio =
+  let order, gfp = Streaming.Canonical.key graph in
   let meta =
     let open Fnv in
     let h = add_value empty gfp in
-    let h = add_value h (platform_hash r.platform) in
-    add_value h (strategy_hash r.strategy)
+    let h = add_value h (platform_hash platform) in
+    add_value h (strategy_hash strategy)
   in
-  Fnv.to_hex gfp ^ Fnv.to_hex meta
+  let fingerprint = Fnv.to_hex gfp ^ Fnv.to_hex meta in
+  { label; platform; graph; strategy; deadline_ms; prio; fingerprint; order }
+
+let fingerprint r = r.fingerprint
 
 (* --- request-file lines -------------------------------------------------- *)
 
@@ -170,11 +175,6 @@ let parse_line ~load_graph ?(default_spes = 8)
         | Streaming.Serialize.Parse_error (l, m) -> fail "%s:%d: %s" file l m
       in
       Some
-        {
-          label = file;
-          platform = Cell.Platform.qs22 ~n_spe:!spes ();
-          graph;
-          strategy;
-          deadline_ms = !deadline;
-          prio = !prio;
-        }
+        (make ~label:file
+           ~platform:(Cell.Platform.qs22 ~n_spe:!spes ())
+           ~graph ~strategy ~deadline_ms:!deadline ~prio:!prio)

@@ -8,7 +8,12 @@
     every platform field and every solver option. Two requests with
     equal fingerprints describe the same problem up to task relabeling,
     so a cached solution can be transported between them (subject to the
-    validation described in {!Batch}). *)
+    validation described in {!Batch}).
+
+    The key is computed once, when the request is built ({!make}), from
+    a single colour refinement of the graph, and travels with it: every
+    later cache probe, recheck and insert reads it instead of
+    canonicalising again. *)
 
 type strategy =
   | Portfolio of { seed : int; restarts : int }
@@ -18,7 +23,7 @@ type strategy =
       (** {!Cellsched.Mapping_search.solve} under a node budget — a
           deterministic cutoff, unlike a wall-clock limit. *)
 
-type t = {
+type t = private {
   label : string;  (** User-facing name (e.g. the graph file); not keyed. *)
   platform : Cell.Platform.t;
   graph : Streaming.Graph.t;
@@ -33,7 +38,15 @@ type t = {
   prio : int;
       (** Dispatch priority in the daemon's pending queue: higher first,
           FIFO within a level. Default [0]. Not part of the fingerprint. *)
+  fingerprint : string;  (** The request key; see {!fingerprint}. *)
+  order : int array;
+      (** {!Streaming.Canonical.order} of [graph]: element [p] is the id of
+          the task at canonical position [p]. Cached assignments are stored
+          in this order and transported back through it. *)
 }
+(** [private]: fields can be read, but a request can only be built by
+    {!make} (or {!parse_line}), so its key always matches its graph,
+    platform and strategy. *)
 
 val default_strategy : strategy
 (** [Portfolio] with {!Cellsched.Portfolio.default_seed} and
@@ -43,9 +56,21 @@ val strategy_to_string : strategy -> string
 (** Stable one-token rendering, e.g.
     ["portfolio:seed=24301,restarts=6"]. *)
 
+val make :
+  label:string ->
+  platform:Cell.Platform.t ->
+  graph:Streaming.Graph.t ->
+  strategy:strategy ->
+  deadline_ms:float option ->
+  prio:int ->
+  t
+(** The one constructor: computes [fingerprint] and [order] from one
+    {!Streaming.Canonical.key} refinement of [graph]. *)
+
 val fingerprint : t -> string
 (** 32 lower-case hex digits: canonical graph hash, then a hash of
-    (graph hash, platform, strategy). *)
+    (graph hash, platform, strategy). O(1): reads the key computed by
+    {!make}. *)
 
 val parse_line :
   load_graph:(string -> Streaming.Graph.t) ->

@@ -39,14 +39,9 @@ let population spec =
           (fun spes ->
             List.map
               (fun strategy ->
-                {
-                  Request.label;
-                  platform = Cell.Platform.qs22 ~n_spe:spes ();
-                  graph;
-                  strategy;
-                  deadline_ms = None;
-                  prio = 0;
-                })
+                Request.make ~label
+                  ~platform:(Cell.Platform.qs22 ~n_spe:spes ())
+                  ~graph ~strategy ~deadline_ms:None ~prio:0)
               spec.strategies)
           spec.spes)
       spec.graphs

@@ -63,8 +63,8 @@ let order g =
   let l = Array.to_list ids in
   Array.of_list (List.stable_sort cmp l)
 
-let to_string g =
-  let ord = order g in
+(* The canonical text form under a precomputed [order g]. *)
+let to_string_ordered g ord =
   let n = Graph.n_tasks g in
   let pos = Array.make n 0 in
   Array.iteri (fun p id -> pos.(id) <- p) ord;
@@ -80,4 +80,10 @@ let to_string g =
   in
   Serialize.to_string (Graph.of_tasks tasks edges)
 
+let to_string g = to_string_ordered g (order g)
+
 let fingerprint g = Fnv.of_string (to_string g)
+
+let key g =
+  let ord = order g in
+  (ord, Fnv.of_string (to_string_ordered g ord))

@@ -35,3 +35,7 @@ val to_string : Graph.t -> string
 
 val fingerprint : Graph.t -> int64
 (** FNV-1a of {!to_string}. *)
+
+val key : Graph.t -> int array * int64
+(** [(order g, fingerprint g)] from a single colour refinement — the
+    pair a request key needs, at the cost of one of them. *)

@@ -44,14 +44,8 @@ let bb_attrs = "strategy=bb max-nodes=200"
 let bb_strategy = Req.Bb { rel_gap = 0.05; max_nodes = 200 }
 
 let request ?(label = "gA") ?(spes = 6) ?deadline_ms ?(prio = 0) () =
-  {
-    Req.label;
-    platform = P.qs22 ~n_spe:spes ();
-    graph = graph label;
-    strategy = bb_strategy;
-    deadline_ms;
-    prio;
-  }
+  Req.make ~label ~platform:(P.qs22 ~n_spe:spes ()) ~graph:(graph label)
+    ~strategy:bb_strategy ~deadline_ms ~prio
 
 let parse line =
   Proto.parse ~load_graph ~default_spes:8 ~default_strategy:bb_strategy 1 line
@@ -164,14 +158,10 @@ let request_roundtrip =
         else Req.Bb { rel_gap = 0.01 *. float_of_int (spes + 1); max_nodes = 500 }
       in
       let r =
-        {
-          Req.label;
-          platform = P.qs22 ~n_spe:spes ();
-          graph = graph label;
-          strategy;
-          deadline_ms = Option.map (fun us -> float_of_int us /. 1000.) deadline_us;
-          prio;
-        }
+        Req.make ~label ~platform:(P.qs22 ~n_spe:spes ()) ~graph:(graph label)
+          ~strategy
+          ~deadline_ms:(Option.map (fun us -> float_of_int us /. 1000.) deadline_us)
+          ~prio
       in
       let id = Option.map (Printf.sprintf "req-%d") id_num in
       match parse (Proto.render_request ?id r) with
@@ -469,7 +459,8 @@ let test_deadline_partial_feasible () =
   (* Timing-dependent results must never enter the deterministic cache. *)
   Alcotest.(check (option reject)) "not cached" None
     (Option.map ignore
-       (Service.Shard.find (Server.shard h.server) response.Batch.fingerprint));
+       (Service.Shard.find (Server.shard h.server)
+          (Req.fingerprint response.Batch.request)));
   let s = Server.stats h.server in
   Alcotest.(check int) "counted partial" 1 s.Server.partials;
   Alcotest.(check int) "not counted solved" 0 s.Server.solved;

@@ -555,7 +555,8 @@ let test_pool_deadline_partial () =
   Alcotest.(check bool) "feasible incumbent" true response.Service.Batch.feasible;
   Alcotest.(check (option reject)) "never cached" None
     (Option.map ignore
-       (Shard.find (Server.shard h.server) response.Service.Batch.fingerprint));
+       (Shard.find (Server.shard h.server)
+          (Service.Request.fingerprint response.Service.Batch.request)));
   let s = Server.stats h.server in
   Alcotest.(check int) "counted partial" 1 s.Server.partials;
   Alcotest.(check int) "not counted solved" 0 s.Server.solved

@@ -664,14 +664,11 @@ let spans_deterministic_across_pools =
                     regularity = 0.5; jump = 2 }
                 ~costs:Daggen.Generator.default_costs
             in
-            {
-              Service.Request.label = Printf.sprintf "g%d" i;
-              platform = P.make ~n_ppe:1 ~n_spe:4 ();
-              graph = g;
-              strategy = Service.Request.Portfolio { seed = 24301; restarts = 2 };
-              deadline_ms = None;
-              prio = 0;
-            })
+            Service.Request.make ~label:(Printf.sprintf "g%d" i)
+              ~platform:(P.make ~n_ppe:1 ~n_spe:4 ())
+              ~graph:g
+              ~strategy:(Service.Request.Portfolio { seed = 24301; restarts = 2 })
+              ~deadline_ms:None ~prio:0)
       in
       (* A duplicate of the first request exercises the in-batch
          duplicate path (no second solve span). *)

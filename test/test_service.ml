@@ -74,6 +74,47 @@ let fingerprint_relabel_invariant =
       if Canon.to_string g <> Canon.to_string g' then
         QCheck.Test.fail_reportf "canonical forms differ:\n%s\nvs\n%s"
           (Canon.to_string g) (Canon.to_string g');
+      (* A request carries the key of its graph, whichever way it was
+         built: [Canon.order] of the graph, and the fingerprint the
+         key layout defines, recomputed here from scratch. *)
+      let spes = n mod 9 in
+      let platform = P.qs22 ~n_spe:spes () in
+      let strategy = Req.Bb { rel_gap = 0.05; max_nodes = seed } in
+      let made =
+        Req.make ~label:"g" ~platform ~graph:g' ~strategy ~deadline_ms:None
+          ~prio:0
+      in
+      let parsed =
+        Req.parse_line ~load_graph:(fun _ -> g') ~default_strategy:strategy 1
+          (Printf.sprintf "g spes=%d" spes)
+        |> Option.get
+      in
+      let from_scratch =
+        let open Support.Fnv in
+        let gfp = Canon.fingerprint g' in
+        let platform_hash =
+          let p = platform in
+          let h = add_int (add_int empty p.P.n_ppe) p.P.n_spe in
+          let h = add_float (add_float h p.P.bw) p.P.eib_bw in
+          let h = add_int (add_int h p.P.local_store) p.P.code_size in
+          let h = add_int (add_int h p.P.max_dma_in) p.P.max_dma_to_ppe in
+          let h = add_int (add_float h p.P.ppe_speedup) p.P.n_cells in
+          add_float h p.P.inter_cell_bw
+        in
+        let strategy_hash = add_int (add_float (add_int empty 2) 0.05) seed in
+        let meta =
+          add_value (add_value (add_value empty gfp) platform_hash) strategy_hash
+        in
+        to_hex gfp ^ to_hex meta
+      in
+      List.iter
+        (fun (how, r) ->
+          if r.Req.order <> Canon.order g' then
+            QCheck.Test.fail_reportf "%s request: order is not Canon.order" how;
+          if Req.fingerprint r <> from_scratch then
+            QCheck.Test.fail_reportf "%s request: key %s, from scratch %s" how
+              (Req.fingerprint r) from_scratch)
+        [ ("made", made); ("parsed", parsed) ];
       Canon.fingerprint g = Canon.fingerprint g')
 
 let test_fingerprint_distinct () =
@@ -96,33 +137,26 @@ let test_fingerprint_sensitivity () =
      options each perturb it. *)
   let rng = Support.Rng.create 7 in
   let g = random_graph rng 10 in
-  let base =
-    {
-      Req.label = "base";
-      platform = P.qs22 ();
-      graph = g;
-      strategy = Req.Portfolio { seed = 1; restarts = 3 };
-      deadline_ms = None;
-      prio = 0;
-    }
+  let make ?(label = "base") ?(platform = P.qs22 ())
+      ?(strategy = Req.Portfolio { seed = 1; restarts = 3 }) graph =
+    Req.make ~label ~platform ~graph ~strategy ~deadline_ms:None ~prio:0
   in
-  let fp = Req.fingerprint base in
+  let fp = Req.fingerprint (make g) in
   Alcotest.(check int) "key width" 32 (String.length fp);
   Alcotest.(check bool) "label is not keyed" true
-    (Req.fingerprint { base with Req.label = "other" } = fp);
+    (Req.fingerprint (make ~label:"other" g) = fp);
   let differs what r = Alcotest.(check bool) what false (Req.fingerprint r = fp) in
-  differs "platform changes the key" { base with Req.platform = P.qs22 ~n_spe:4 () };
+  differs "platform changes the key" (make ~platform:(P.qs22 ~n_spe:4 ()) g);
   differs "seed changes the key"
-    { base with Req.strategy = Req.Portfolio { seed = 2; restarts = 3 } };
+    (make ~strategy:(Req.Portfolio { seed = 2; restarts = 3 }) g);
   differs "restarts change the key"
-    { base with Req.strategy = Req.Portfolio { seed = 1; restarts = 4 } };
+    (make ~strategy:(Req.Portfolio { seed = 1; restarts = 4 }) g);
   differs "strategy family changes the key"
-    { base with Req.strategy = Req.Bb { rel_gap = 0.05; max_nodes = 1000 } };
-  differs "graph changes the key"
-    { base with Req.graph = random_graph (Support.Rng.create 8) 10 };
+    (make ~strategy:(Req.Bb { rel_gap = 0.05; max_nodes = 1000 }) g);
+  differs "graph changes the key" (make (random_graph (Support.Rng.create 8) 10));
   (* An edge-size change alone (same topology) must also show. *)
   differs "edge data changes the key"
-    { base with Req.graph = G.map_edges (fun _ e -> e.G.data_bytes +. 1.) g }
+    (make (G.map_edges (fun _ e -> e.G.data_bytes +. 1.) g))
 
 (* Persisted caches are keyed by these exact bytes: a change to the
    refinement, the canonical form or the key layout silently orphans
@@ -190,7 +224,7 @@ let test_fingerprint_golden () =
 let portfolio_strategy = Req.Portfolio { seed = 1234; restarts = 2 }
 
 let request ?(label = "g") ?(strategy = portfolio_strategy) platform graph =
-  { Req.label; platform; graph; strategy; deadline_ms = None; prio = 0 }
+  Req.make ~label ~platform ~graph ~strategy ~deadline_ms:None ~prio:0
 
 let hit_equals_fresh_portfolio =
   QCheck.Test.make ~count:40

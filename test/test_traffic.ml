@@ -139,7 +139,11 @@ let test_workload_roundtrip () =
       | None -> Alcotest.failf "line did not parse: %s" line)
     (Wl.population s);
   (* A label that would corrupt the line grammar refuses loudly. *)
-  let bad = { (Wl.population s).(0) with Req.label = "has space" } in
+  let bad =
+    let r = (Wl.population s).(0) in
+    Req.make ~label:"has space" ~platform:r.Req.platform ~graph:r.Req.graph
+      ~strategy:r.Req.strategy ~deadline_ms:r.Req.deadline_ms ~prio:r.Req.prio
+  in
   (match Wl.line bad with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "token-unsafe label must refuse");
@@ -292,12 +296,12 @@ let test_counter_conservation () =
       List.iter
         (fun r ->
           let bits = Int64.bits_of_float r.Batch.period in
-          match Hashtbl.find_opt tbl r.Batch.fingerprint with
-          | None -> Hashtbl.add tbl r.Batch.fingerprint bits
+          let fp = Req.fingerprint r.Batch.request in
+          match Hashtbl.find_opt tbl fp with
+          | None -> Hashtbl.add tbl fp bits
           | Some b ->
               if not (Int64.equal b bits) then
-                Alcotest.failf "duplicate replies differ for %s"
-                  r.Batch.fingerprint)
+                Alcotest.failf "duplicate replies differ for %s" fp)
         responses)
 
 (* ====================================================================== *)
