@@ -21,17 +21,26 @@
     (the service layer does; see DESIGN.md §14). Tasks left with equal
     final colours (exactly identical attributes in symmetric positions)
     keep their relative input order, which is canonical precisely when
-    such tasks are interchangeable. *)
+    such tasks are interchangeable.
+
+    Cost: the refinement runs [depth + 2] rounds of O(n + m) over flat
+    unboxed arrays built once per call, allocating O(n + m) words in
+    total; the text form then adds one C [%.17g] call per non-integral
+    float attribute and edge size, which dominates {!key}. *)
 
 val order : Graph.t -> int array
 (** Task ids in canonical order: element [p] is the id of the task at
     canonical position [p]. *)
 
 val to_string : Graph.t -> string
-(** Canonical text form: the {!Serialize} format with tasks renamed
+(** Canonical text form: the layout of the {!Serialize} format (so
+    {!Serialize.of_string} reads it back) with tasks renamed
     [t0 .. tN-1] in canonical order and edges sorted by canonical
     endpoint positions. Equal strings for relabeled/reordered variants
-    of the same graph. *)
+    of the same graph. It is written directly, not through
+    {!Serialize.to_string}: these bytes are the cache key, frozen by
+    the golden test of [test_service], and must not move with the file
+    format. *)
 
 val fingerprint : Graph.t -> int64
 (** FNV-1a of {!to_string}. *)

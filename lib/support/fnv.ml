@@ -9,9 +9,9 @@ let add_float h f = add_value h (Int64.bits_of_float f)
 
 let add_string h s =
   let h = ref h in
-  String.iter
-    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := add_int !h (Char.code (String.unsafe_get s i))
+  done;
   !h
 
 let of_string s = add_string empty s

@@ -31,7 +31,8 @@ val add_float : t -> float -> t
     and every NaN payload is distinguished. *)
 
 val add_string : t -> string -> t
-(** Byte-wise FNV-1a over the string contents. *)
+(** Byte-wise FNV-1a over the string contents. Allocates nothing per
+    byte. *)
 
 val of_string : string -> t
 (** [add_string empty]. *)

@@ -1,7 +1,8 @@
 (* Tests for the service layer (lib/service): canonical fingerprint
-   metamorphic properties, cache-hit bitwise equality with fresh
-   solves, differential batched-vs-sequential runs, and persistence
-   fault recovery. *)
+   metamorphic properties, the canonical kernel against its list-based
+   reference, cache-hit bitwise equality with fresh solves,
+   differential batched-vs-sequential runs, and persistence fault
+   recovery. *)
 
 module P = Cell.Platform
 module G = Streaming.Graph
@@ -216,6 +217,178 @@ let test_fingerprint_golden () =
       | Some r -> Alcotest.(check string) line fp (Req.fingerprint r)
       | None -> Alcotest.failf "%S did not parse" line)
     golden
+
+(* ====================================================================== *)
+(* Canonical kernel: differential test against the list-based reference  *)
+(* ====================================================================== *)
+
+(* The list-based kernel that defined the canonical key before the
+   flat-array rewrite, kept verbatim as a test-only reference: every
+   persisted cache entry is keyed by its bytes, so [Canon] must match
+   it bit for bit. *)
+module Reference = struct
+  open Streaming
+  module Fnv = Support.Fnv
+
+  (* Initial colour: every task attribute except the name. *)
+  let task_color (t : Task.t) =
+    let open Fnv in
+    let h = empty in
+    let h = add_float h t.Task.w_ppe in
+    let h = add_float h t.Task.w_spe in
+    let h = add_int h t.Task.peek in
+    let h = add_bool h t.Task.stateful in
+    let h = add_float h t.Task.read_bytes in
+    add_float h t.Task.write_bytes
+
+  (* One refinement round: absorb the sorted multisets of (edge size,
+     neighbour colour) pairs on each side. Sorting makes the result
+     independent of edge order; separate folds keep in- and out-
+     neighbourhoods from cancelling each other. *)
+  let refine g colors =
+    let n = Graph.n_tasks g in
+    let signature v =
+      let side tag edge_ids endpoint =
+        let sigs =
+          List.map
+            (fun e ->
+              let edge = Graph.edge g e in
+              (Int64.bits_of_float edge.Graph.data_bytes, colors.(endpoint edge)))
+            edge_ids
+          |> List.sort compare
+        in
+        List.fold_left
+          (fun h (data, c) -> Fnv.add_value (Fnv.add_value h data) c)
+          (Fnv.add_int Fnv.empty tag)
+          sigs
+      in
+      let h = Fnv.add_value Fnv.empty colors.(v) in
+      let h = Fnv.add_value h (side 1 (Graph.in_edges g v) (fun e -> e.Graph.src)) in
+      Fnv.add_value h (side 2 (Graph.out_edges g v) (fun e -> e.Graph.dst))
+    in
+    Array.init n signature
+
+  let colors g =
+    let colors = ref (Array.init (Graph.n_tasks g) (fun v -> task_color (Graph.task g v))) in
+    (* depth + 2 rounds let a colour absorb the whole reachable
+       neighbourhood of its task along the longest path, both ways. *)
+    for _ = 1 to Graph.depth g + 2 do
+      colors := refine g !colors
+    done;
+    !colors
+
+  let order g =
+    let colors = colors g in
+    let ids = Array.init (Graph.n_tasks g) Fun.id in
+    (* Stable: tasks with equal final colours (interchangeable up to the
+       refinement's power) keep their input order. *)
+    let key v =
+      (colors.(v), List.length (Graph.in_edges g v), List.length (Graph.out_edges g v))
+    in
+    let cmp a b =
+      let (ca, ia, oa), (cb, ib, ob) = (key a, key b) in
+      let c = Int64.unsigned_compare ca cb in
+      if c <> 0 then c else compare (ia, oa) (ib, ob)
+    in
+    let l = Array.to_list ids in
+    Array.of_list (List.stable_sort cmp l)
+
+  (* The canonical text form under a precomputed [order g]. *)
+  let to_string_ordered g ord =
+    let n = Graph.n_tasks g in
+    let pos = Array.make n 0 in
+    Array.iteri (fun p id -> pos.(id) <- p) ord;
+    let tasks =
+      Array.init n (fun p ->
+          { (Graph.task g ord.(p)) with Task.name = "t" ^ string_of_int p })
+    in
+    let edges =
+      List.init (Graph.n_edges g) (fun e ->
+          let { Graph.src; dst; data_bytes } = Graph.edge g e in
+          (pos.(src), pos.(dst), data_bytes))
+      |> List.sort compare
+    in
+    Serialize.to_string (Graph.of_tasks tasks edges)
+end
+
+let check_against_reference g =
+  let ord = Reference.order g in
+  let text = Reference.to_string_ordered g ord in
+  let fp = Support.Fnv.of_string text in
+  if Canon.order g <> ord then QCheck.Test.fail_reportf "order differs";
+  if Canon.to_string g <> text then
+    QCheck.Test.fail_reportf "canonical text differs:\n%s\nvs reference\n%s"
+      (Canon.to_string g) text;
+  if Canon.fingerprint g <> fp then QCheck.Test.fail_reportf "fingerprint differs";
+  if Canon.key g <> (ord, fp) then QCheck.Test.fail_reportf "key differs"
+
+(* Half the graphs get coarse attributes (three cost levels, three edge
+   sizes), so equal colours, equal (size, colour) pairs and degree
+   tie-breaks are exercised, not just distinct random floats; the [-0.]
+   size has the sign bit set, so it sorts first only under signed
+   comparison. *)
+let kernel_matches_reference =
+  QCheck.Test.make ~count:1000
+    ~name:"canonical kernel matches the list-based reference"
+    QCheck.(quad (int_bound 1_000_000) (int_range 0 60) (int_range 1 20) bool)
+    (fun (seed, n, fat, coarse) ->
+      let rng = Support.Rng.create seed in
+      let g =
+        if n = 0 then G.of_tasks [||] []
+        else random_graph ~fat:(float_of_int fat /. 10.) rng n
+      in
+      let g =
+        if not coarse then g
+        else
+          G.map_tasks
+            (fun k t -> { t with T.w_ppe = float_of_int (k mod 3); w_spe = 1. })
+            g
+          |> G.map_edges (fun e _ -> [| -0.; 1.; 2. |].(e mod 3))
+      in
+      check_against_reference g;
+      true)
+
+(* Special floats (both NaN signs, infinities, negative zero, the least
+   subnormal, integral values on both sides of 2^53 and past 1e17) in
+   every attribute and edge size, and symmetric tasks with equal final
+   colours, so the float text and the tie order are pinned. *)
+let test_kernel_special_floats () =
+  let task name ~w_ppe ~w_spe ~read ~write =
+    { (T.make ~name ~w_ppe:1. ~w_spe:1. ()) with
+      T.w_ppe; w_spe; read_bytes = read; write_bytes = write }
+  in
+  let tasks =
+    [|
+      task "sink" ~w_ppe:Float.nan ~w_spe:(-.Float.nan) ~read:(-0.) ~write:5e-324;
+      task "left" ~w_ppe:Float.infinity ~w_spe:Float.neg_infinity ~read:0. ~write:0.;
+      task "right" ~w_ppe:Float.infinity ~w_spe:Float.neg_infinity ~read:0. ~write:0.;
+      task "src" ~w_ppe:(-0.) ~w_spe:5e-324 ~read:Float.nan ~write:Float.infinity;
+      task "twin" ~w_ppe:Float.infinity ~w_spe:Float.neg_infinity ~read:0. ~write:0.;
+      task "wide" ~w_ppe:(0x1p53 -. 1.) ~w_spe:0x1p53 ~read:1e17 ~write:(-5.);
+    |]
+  in
+  let g =
+    G.of_tasks tasks
+      [
+        (3, 1, Float.nan); (3, 2, Float.nan); (1, 0, -0.); (2, 0, -0.);
+        (3, 0, 5e-324); (3, 4, -.Float.nan); (4, 0, Float.infinity);
+        (5, 0, 1e16); (3, 5, 0.5);
+      ]
+  in
+  (* [left] and [right] are interchangeable: equal colours, input order. *)
+  Alcotest.(check (array int)) "order" [| 0; 1; 2; 3; 5; 4 |] (Canon.order g);
+  check_against_reference g
+
+(* The flat-array refinement allocates O(n + m) words per call; the
+   list-based one allocated per round, per task and per edge. *)
+let test_kernel_allocation () =
+  let g = Daggen.Presets.random_graph_2 () in
+  ignore (Canon.order g);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Canon.order g));
+  let words = Gc.minor_words () -. before in
+  if words >= 50_000. then
+    Alcotest.failf "Canon.order on graph 2 allocated %.0f minor words" words
 
 (* ====================================================================== *)
 (* Cache hits bitwise-equal to fresh solves                               *)
@@ -774,6 +947,14 @@ let () =
             test_fingerprint_sensitivity;
           Alcotest.test_case "golden keys of the presets" `Quick
             test_fingerprint_golden;
+        ] );
+      ( "canonical kernel",
+        [
+          qt kernel_matches_reference;
+          Alcotest.test_case "special floats and ties" `Quick
+            test_kernel_special_floats;
+          Alcotest.test_case "order allocates O(n + m)" `Quick
+            test_kernel_allocation;
         ] );
       ( "cache-hit equivalence",
         [

@@ -109,6 +109,15 @@ let test_table_escaping () =
   Support.Table.add_row t [ "x,y" ];
   Alcotest.(check string) "escaped" "a\n\"x,y\"" (Support.Table.to_csv t)
 
+(* The published FNV-1a 64 test vectors: cache keys and shard routing
+   both hash through [Fnv.of_string]. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (input, hex) ->
+      Alcotest.(check string) (Printf.sprintf "%S" input) hex
+        (Support.Fnv.to_hex (Support.Fnv.of_string input)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "support"
@@ -135,4 +144,5 @@ let () =
           Alcotest.test_case "csv" `Quick test_table;
           Alcotest.test_case "escaping" `Quick test_table_escaping;
         ] );
+      ("fnv", [ Alcotest.test_case "FNV-1a 64 test vectors" `Quick test_fnv_vectors ]);
     ]
