@@ -1036,8 +1036,8 @@ let batch_cmd =
        corrupt file starts empty; a sharded daemon's FILE.shardI files are \
        read too) and written back after as the single FILE. Without this \
        option the batch still deduplicates in memory. With --parallel, \
-       distinct misses fan out as suspendable fibers over the pool; the \
-       output is bitwise identical at any pool size."
+       distinct misses are solved in parallel over the pool, one task \
+       per miss; the output is bitwise identical at any pool size."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
   in

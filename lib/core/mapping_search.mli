@@ -82,16 +82,14 @@ val solve :
   ?options:options ->
   ?should_stop:(unit -> bool) ->
   ?incumbent:Mapping.t ->
-  ?extra_lower_bound:float ->
   ?pool:Par.Pool.t ->
   Cell.Platform.t ->
   Streaming.Graph.t ->
   result
 (** [incumbent] seeds the search (it must be feasible; default: the best
-    standard heuristic). [extra_lower_bound] is a known valid lower bound
-    on the period (e.g. the root LP relaxation) used to tighten the
-    reported gap. [pool] fans the root subtrees out over worker domains;
-    the result is bitwise identical to the sequential run (see above).
+    standard heuristic). [pool] fans the root subtrees out over worker
+    domains; the result is bitwise identical to the sequential run (see
+    above).
 
     [span] (default {!Obs.Span.null}: free) records the solver flight
     recorder: the portfolio seed's spans, a ["dive"] span (phase A)

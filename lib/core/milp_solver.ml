@@ -8,7 +8,6 @@ type options = {
   time_limit : float;
   max_nodes : int;
   engine : engine;
-  root_lp : bool;
   share_colocated_buffers : bool;
 }
 
@@ -18,7 +17,6 @@ let default_options =
     time_limit = 60.;
     max_nodes = 10_000_000;
     engine = Auto;
-    root_lp = false;
     share_colocated_buffers = false;
   }
 
@@ -114,35 +112,7 @@ let solve_exact ~span ~options ~should_stop ~start platform g incumbent =
     ~lower_bound ~proven ~nodes:outcome.Lp.Branch_bound.nodes
   end
 
-(* The dense-inverse simplex is only trusted on LPs small enough to stay
-   numerically healthy; beyond this the root bound comes from the search's
-   own combinatorial relaxation. *)
-let root_lp_row_limit = 2000
-
 let solve_search ~span ~options ~should_stop ~start ?pool platform g incumbent =
-  let root_lp_bound =
-    if not options.root_lp then 0.
-    else begin
-      let formulation =
-        Milp_formulation.build_compact
-          ~share_colocated_buffers:options.share_colocated_buffers platform g
-      in
-      let problem = formulation.Milp_formulation.problem in
-      if Lp.Problem.n_constrs problem > root_lp_row_limit then 0.
-      else
-        match Lp.Simplex.solve problem with
-        | Lp.Simplex.Optimal sol -> (
-            (* Only trust a bound that is actually primal feasible. *)
-            match
-              Lp.Problem.check_feasible ~tol:1e-5 ~check_integrality:false
-                problem sol.Lp.Simplex.x
-            with
-            | Ok () -> Float.max 0. sol.Lp.Simplex.objective
-            | Error _ -> 0.)
-        | Lp.Simplex.Infeasible | Lp.Simplex.Unbounded -> 0.
-        | exception Failure _ -> 0.
-    end
-  in
   let search_options =
     {
       Mapping_search.rel_gap = options.rel_gap;
@@ -154,7 +124,7 @@ let solve_search ~span ~options ~should_stop ~start ?pool platform g incumbent =
   in
   let r =
     Mapping_search.solve ~span ~options:search_options ~should_stop ~incumbent
-      ~extra_lower_bound:root_lp_bound ?pool platform g
+      ?pool platform g
   in
   (* Polish the incumbent; this can only improve it, and the bound remains
      valid. (The plain local search is conservative under buffer sharing:

@@ -10,7 +10,7 @@
     - [`Exact]: the generic {!Lp.Branch_bound} on the compact formulation
       (exact within the gap; right for small and mid-size graphs);
     - [`Search]: the specialized {!Mapping_search} branch and bound,
-      optionally bounded below by the root LP relaxation (scales to the
+      bounded below by its own combinatorial relaxation (scales to the
       paper's 50–94-task graphs).
 
     A PPE-only mapping is always feasible, so [solve] always returns a
@@ -23,11 +23,6 @@ type options = {
   time_limit : float;  (** Seconds (default 60). *)
   max_nodes : int;
   engine : engine;
-  root_lp : bool;
-      (** For [Search]: solve the compact LP relaxation at the root to
-          tighten the reported bound. Defaults to [false]: the LP takes
-          tens of seconds on paper-scale graphs while the search's own
-          combinatorial relaxation gives a comparable bound. *)
   share_colocated_buffers : bool;  (** Model the §7 buffer sharing. *)
 }
 

@@ -158,6 +158,7 @@ type job = {
   request : Request.t;
   out : string -> unit;
   received : float;
+  admitted : float;  (* after the receipt-time cache probe missed *)
   deadline : float;  (* absolute seconds; [infinity] when none *)
   trace : Obs.Span.collector;  (* this request's private span buffer *)
   span : Obs.Span.ctx;  (* position under the request root span *)
@@ -567,12 +568,13 @@ let dispatch t =
       match Admission.next t.admission with
       | None -> ()
       | Some job -> (
-          (* The admission-queue wait: stamped from receipt to dispatch,
-             recorded here because its start crossed an async boundary. *)
-          Obs.Span.record job.span ~t_start:job.received "queue";
+          (* The admission-queue wait: from admission (after the parse
+             and the receipt-time cache probe) to dispatch, recorded
+             here because its start crossed an async boundary. *)
+          let now = Unix.gettimeofday () in
+          Obs.Span.record job.span ~t_start:job.admitted ~t_stop:now "queue";
           if Obs.Metrics.enabled () then
-            Obs.Metrics.Histogram.observe h_stage_queue
-              (Unix.gettimeofday () -. job.received);
+            Obs.Metrics.Histogram.observe h_stage_queue (now -. job.admitted);
           (* Re-check the cache at dispatch: a duplicate that queued
              behind its twin becomes a hit the moment the twin's solve
              lands, instead of burning a second solve. *)
@@ -659,8 +661,10 @@ let handle_line t ~out line =
           t.hits <- t.hits + 1;
           metrics_inc m_accepted;
           metrics_inc m_hits;
+          (* Never queued: [admitted] is unused on this path. *)
           send_reply t
-            { id; request; out; received; deadline = infinity; trace; span }
+            { id; request; out; received; admitted = received;
+              deadline = infinity; trace; span }
             ~partial:false response
       | None ->
           let deadline =
@@ -668,7 +672,10 @@ let handle_line t ~out line =
             | Some ms -> received +. (ms /. 1000.)
             | None -> infinity
           in
-          let job = { id; request; out; received; deadline; trace; span } in
+          let admitted = Unix.gettimeofday () in
+          let job =
+            { id; request; out; received; admitted; deadline; trace; span }
+          in
           if Admission.admit t.admission ~prio:request.Request.prio job then begin
             t.accepted <- t.accepted + 1;
             metrics_inc m_accepted;

@@ -12,9 +12,7 @@ type 'a state =
 
 type 'a t = { pool : Pool.t; state : 'a state Atomic.t }
 
-type _ Effect.t +=
-  | Await : 'a t -> 'a outcome Effect.t
-  | Yield : unit Effect.t
+type _ Effect.t += Await : 'a t -> 'a outcome Effect.t
 
 let pool_of ?pool () =
   match pool with
@@ -57,9 +55,7 @@ let poll (p : 'a t) =
 
 (* Each fiber body runs under its own deep handler. Await suspends the
    fiber by parking its continuation as a waiter on the target promise;
-   the resolver resubmits it as a fresh pool task. Yield resubmits the
-   continuation immediately, sending the fiber to the back of the
-   worker's FIFO deque so siblings get the domain. *)
+   the resolver resubmits it as a fresh pool task. *)
 let run_body (type a) (pool : Pool.t) (p : a t) (f : unit -> a) () =
   Effect.Deep.match_with
     (fun () ->
@@ -81,10 +77,6 @@ let run_body (type a) (pool : Pool.t) (p : a t) (f : unit -> a) () =
                 (fun (k : (b, _) Effect.Deep.continuation) ->
                   on_resolve q (fun o ->
                       Pool.run_async pool (fun () -> Effect.Deep.continue k o)))
-          | Yield ->
-              Some
-                (fun (k : (b, _) Effect.Deep.continuation) ->
-                  Pool.run_async pool (fun () -> Effect.Deep.continue k ()))
           | _ -> None);
     }
 
@@ -113,42 +105,4 @@ let await p =
       | o -> of_outcome o
       | exception Effect.Unhandled (Await _) -> of_outcome (block p))
 
-let yield () =
-  match Effect.perform Yield with
-  | () -> ()
-  | exception Effect.Unhandled Yield -> ()
-
-let yielder ~every =
-  if every < 1 then invalid_arg "Fiber.yielder: every must be >= 1";
-  let n = ref 0 in
-  fun () ->
-    incr n;
-    if !n >= every then begin
-      n := 0;
-      yield ()
-    end
-
 let run pool f = await (spawn ~pool f)
-
-let parallel_map ?pool f xs =
-  let pool = pool_of ?pool () in
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let fibers = Array.map (fun x -> spawn ~pool (fun () -> f x)) xs in
-    (* Await in index order: every fiber completes before we return, and
-       on failure the lowest-index error wins — same determinism
-       contract as Pool.parallel_map. *)
-    let outcomes =
-      Array.map (fun fb -> match poll fb with
-          | Some o -> o
-          | None -> (
-              match Effect.perform (Await fb) with
-              | o -> o
-              | exception Effect.Unhandled (Await _) -> block fb))
-        fibers
-    in
-    Array.iter (function Error _ as e -> ignore (of_outcome e) | Ok _ -> ())
-      outcomes;
-    Array.map (function Ok v -> v | Error _ -> assert false) outcomes
-  end

@@ -272,27 +272,6 @@ let parallel_map t f xs =
       results
   end
 
-let parallel_for t ?chunk n f =
-  if n > 0 then begin
-    let chunk =
-      match chunk with
-      | Some c when c >= 1 -> c
-      | Some _ -> invalid_arg "Pool.parallel_for: chunk must be >= 1"
-      | None -> max 1 (n / (4 * t.n))
-    in
-    let n_chunks = (n + chunk - 1) / chunk in
-    let ranges =
-      Array.init n_chunks (fun c -> (c * chunk, min n ((c + 1) * chunk)))
-    in
-    ignore
-      (parallel_map t
-         (fun (lo, hi) ->
-           for i = lo to hi - 1 do
-             f i
-           done)
-         ranges)
-  end
-
 (* Dynamic fan-out: run [f] on every item; the items it returns are
    resubmitted as fresh tasks until the frontier drains. A child's
    pending-count increment happens before its parent's decrement, so the
@@ -323,27 +302,6 @@ let parallel_grow t f roots =
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
   end
-
-let race t entrants =
-  if entrants = [] then invalid_arg "Pool.race: no entrants";
-  let winner = Atomic.make None in
-  let cancelled () = Atomic.get winner <> None in
-  let thunks =
-    Array.of_list
-      (List.map
-         (fun f () ->
-           if not (cancelled ()) then
-             let v = f ~cancelled in
-             ignore (Atomic.compare_and_set winner None (Some v)))
-         entrants)
-  in
-  (* Errors only propagate when nobody won: a raced search losing to a
-     faster entrant is not a failure of the race. *)
-  (try ignore (parallel_map t (fun th -> th ()) thunks)
-   with e when Atomic.get winner <> None -> ignore e);
-  match Atomic.get winner with
-  | Some v -> v
-  | None -> assert false (* some entrant must have won or raised *)
 
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)

@@ -41,24 +41,25 @@ val with_pool : ?size:int -> (t -> 'a) -> 'a
 (** [create], run, then [shutdown] (also on exception). *)
 
 val self : unit -> t option
-(** The pool whose worker domain is running the caller, if any. Lets
-    code spawned onto a pool (plain tasks and {!Fiber}s alike) reach
-    its own scheduler without threading the handle through every
-    call. *)
+(** The pool whose worker domain is running the caller, if any. Only
+    the fiber module uses it (to default [spawn]'s [?pool]), and it
+    goes with that module. *)
 
 val run_async : t -> (unit -> unit) -> unit
 (** Fire-and-forget submission: enqueue the closure (own deque when
     called from a worker of this pool, injector otherwise) and wake a
     sleeper. The closure must capture its own exceptions — anything it
     leaks is shielded and counted in [shielded] ({!stats}), not
-    propagated. This is the primitive {!Fiber} schedules on. *)
+    propagated. The daemon dispatches its solves with it, and fibers
+    resume their continuations with it. *)
 
 val help_until : t -> (unit -> bool) -> unit
 (** Block until the predicate holds. A worker of this pool {e helps} —
     runs pool tasks between checks — so nested blocking cannot
     deadlock; an outside domain spins briefly then sleeps in 50 µs
     slices. The predicate must eventually be made true by pool tasks
-    or another domain. *)
+    or another domain. Only the fiber module's out-of-fiber [await]
+    calls it; it goes with that module. *)
 
 (** {1 Futures} *)
 
@@ -77,11 +78,6 @@ val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
     error. Empty and singleton arrays are evaluated in the calling
     domain without touching the pool. *)
 
-val parallel_for : t -> ?chunk:int -> int -> (int -> unit) -> unit
-(** [parallel_for pool n f] runs [f i] for [0 <= i < n], grouped into
-    contiguous chunks (default: a balanced split over ~4 tasks per
-    worker). Same completion and error semantics as {!parallel_map}. *)
-
 val parallel_grow : t -> ('a -> 'a array) -> 'a array -> unit
 (** Dynamic fan-out: run [f] on every root item; the items [f] returns
     are resubmitted as fresh tasks (stolen like any other work), until
@@ -93,15 +89,6 @@ val parallel_grow : t -> ('a -> 'a array) -> 'a array -> unit
     no stable index order, so unlike {!parallel_map} the choice is not
     deterministic; callers needing determinism must capture their own
     errors. *)
-
-val race : t -> ((cancelled:(unit -> bool) -> 'a) list) -> 'a
-(** Run all entrants concurrently and return the value of whichever
-    completes first (inherently timing-dependent — do not use where
-    determinism is required; the deterministic alternative is
-    [parallel_map] plus an explicit reduction). Losers are not
-    interrupted but can poll [cancelled] to exit early; all entrants
-    have finished when [race] returns. If every entrant raises, the
-    lowest-index error is re-raised. *)
 
 (** {1 Statistics} *)
 

@@ -194,29 +194,18 @@ let run_view ?(span = Obs.Span.null) ?pool ~view requests =
      stream is independent of which worker solved which miss. *)
   let solve_one i =
     Obs.Span.with_span span ("solve:" ^ String.sub (fp i) 0 12) @@ fun span ->
-    (* The yield tick suspends a fiber-run solve at node-budget
-       boundaries so more misses than domains still interleave; it is
-       a no-op on the sequential path and never stops the solver, so
-       both paths compute identical results. *)
-    let tick = Par.Fiber.yielder ~every:1 in
-    let should_stop () =
-      tick ();
-      false
-    in
-    let assignment, period, _bound =
-      solve_request ~span ~should_stop requests.(i)
-    in
+    let assignment, period, _bound = solve_request ~span requests.(i) in
     (i, assignment, period)
   in
-  (* Distinct misses fan out over the pool as suspendable fibers; each
-     inner solve is deterministic, so pooled and sequential batches
-     agree bitwise. *)
+  (* Distinct misses are independent jobs with one join; each solve is
+     deterministic and [parallel_map] keeps index order (and the
+     lowest-index error), so pooled and sequential batches agree
+     bitwise. *)
   let miss_indices = Array.of_list (List.rev !misses) in
   let solved =
     match pool with
-    | Some p when Array.length miss_indices > 1 ->
-        Par.Fiber.run p (fun () -> Par.Fiber.parallel_map solve_one miss_indices)
-    | _ -> Array.map solve_one miss_indices
+    | Some p -> Par.Pool.parallel_map p solve_one miss_indices
+    | None -> Array.map solve_one miss_indices
   in
   Array.iter record_solved solved;
   (* Duplicates are served by the entries the misses just filled in;

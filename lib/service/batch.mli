@@ -9,9 +9,9 @@
     {e transporting} the stored canonical assignment onto the request
     graph through its own canonical order;
     duplicate fingerprints within the batch defer to the first
-    occurrence's solve; the remaining distinct misses are dispatched —
-    as {!Par.Fiber}s over a {!Par.Pool.t} when given — to the requested
-    solver
+    occurrence's solve; the remaining distinct misses are independent
+    jobs, run — with {!Par.Pool.parallel_map} over a {!Par.Pool.t} when
+    given — by the requested solver
     ({!Cellsched.Portfolio} or {!Cellsched.Mapping_search}).
 
     {b Determinism.} Parallelism is {e across} requests only and every
@@ -32,8 +32,8 @@
 
     Observability ([svc_*] families, default-off like every other
     layer): requests/hits/misses/transport-rejects counters and a batch
-    latency histogram here; evictions, recoveries and size gauges in
-    {!Cache}. *)
+    latency histogram here; evictions and recoveries in {!Cache};
+    per-shard size gauges in {!Shard}. *)
 
 type source =
   | Hit  (** Answered from the cache (incl. in-batch duplicates). *)
@@ -92,11 +92,11 @@ val run_view :
 (** Responses in request order. The cache behind [view] is updated in
     place with every fresh solve.
 
-    With a [pool], distinct misses fan out as suspendable
-    {!Par.Fiber}s, each yielding its domain at solver node-budget
-    boundaries so more misses than domains interleave. The bytes are
-    identical to the sequential path — fibers schedule execution,
-    never results.
+    With a [pool], distinct misses fan out with
+    {!Par.Pool.parallel_map}, one task per miss, joined once. The bytes
+    are identical to the sequential path: every solve is deterministic,
+    and the map keeps index order and re-raises the lowest-index
+    error.
 
     [span] (default {!Obs.Span.null}: free) records one ["batch"] span
     with a ["solve:<fp12>"] child per distinct miss (named by the first

@@ -43,12 +43,10 @@ type t
 val version : int
 (** Current on-disk format version (1). *)
 
-val create : ?publish:bool -> ?max_entries:int -> ?max_bytes:int -> unit -> t
-(** Defaults: 1024 entries, 16 MiB. [publish] (default [true]) controls
-    only the process-wide [svc_cache_entries]/[svc_cache_bytes] gauges;
-    {!Shard} passes [false] and publishes per-shard gauge families
-    instead (event counters — evictions, recoveries — are shared either
-    way).
+val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
+(** Defaults: 1024 entries, 16 MiB. A cache publishes no size gauges;
+    {!Shard} publishes per-shard ones (the event counters — evictions,
+    recoveries — are process-wide).
     @raise Invalid_argument on non-positive bounds. *)
 
 val length : t -> int
@@ -81,12 +79,12 @@ val entries_to_json_string : entry list -> string
     first as {!entries} returns them ([to_json_string t] is
     [entries_to_json_string (entries t)]). *)
 
-val load_string : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
-  string -> (t, t * string) result
+val load_string :
+  ?max_entries:int -> ?max_bytes:int -> string -> (t, t * string) result
 (** Parse a persisted cache. [Error (empty, reason)] on any corruption
     (and [svc_cache_recovered_total] is bumped). *)
 
-val load_file : ?publish:bool -> ?max_entries:int -> ?max_bytes:int ->
+val load_file : ?max_entries:int -> ?max_bytes:int ->
   ?on_corrupt:(string -> unit) -> string -> t
 (** Total: missing file is a silent cold start; unreadable/corrupt
     content recovers to empty as in {!load_string}, and [on_corrupt]

@@ -42,8 +42,7 @@ let create ?(shards = 1) ?(max_entries = 1024)
   {
     caches =
       Array.init shards (fun _ ->
-          Cache.create ~publish:false ~max_entries:per_entries
-            ~max_bytes:per_bytes ());
+          Cache.create ~max_entries:per_entries ~max_bytes:per_bytes ());
     locks = Array.init shards (fun _ -> Mutex.create ());
     per_entries;
     per_bytes;
@@ -173,7 +172,7 @@ let load_files ?shards:(n = 1) ?max_entries ?max_bytes ?(on_corrupt = fun _ _ ->
          recover to empty and bump [svc_cache_recovered_total]), then
          replay oldest-first so per-shard LRU order is preserved. *)
       let staged =
-        Cache.load_file ~publish:false ?max_entries ?max_bytes
+        Cache.load_file ?max_entries ?max_bytes
           ~on_corrupt:(on_corrupt file) file
       in
       List.iter (add t) (List.rev (Cache.entries staged)))

@@ -4,9 +4,11 @@
    admission, deadline-expired partials validated feasible), graceful-
    shutdown cache flushes with bitwise warm restarts, pool-vs-inline
    differential runs, the wake pipe (a pool completion wakes the loop;
-   engines leak no descriptors), and the two serve loops end to end
+   engines leak no descriptors), the two serve loops end to end
    (pipe fds and a forked Unix-domain-socket server, including SIGTERM
-   of a busy and of an idle server). *)
+   of a busy and of an idle server), and pool mode: inline cache hits
+   overtaking long dives, duplicate storms bounded by the pool size,
+   deadline partials never cached. *)
 
 module P = Cell.Platform
 module G = Streaming.Graph
@@ -51,13 +53,14 @@ let parse line =
   Proto.parse ~load_graph ~default_spes:8 ~default_strategy:bb_strategy 1 line
 
 let config ?(bound = 8) ?(concurrency = 1) ?cache_path ?metrics_file
-    ?(flush_period = 0.) () =
+    ?trace_dir ?(flush_period = 0.) () =
   {
     Server.default_config with
     Server.bound;
     concurrency;
     cache_path;
     metrics_file;
+    trace_dir;
     flush_period;
     default_strategy = bb_strategy;
   }
@@ -68,13 +71,13 @@ type harness = {
   replies : Server.reply list ref;  (** Reverse arrival order. *)
 }
 
-let harness ?bound ?concurrency ?cache_path ?metrics_file () =
+let harness ?bound ?concurrency ?cache_path ?metrics_file ?trace_dir () =
   let replies = ref [] in
   let server =
     Server.create
       ~on_reply:(fun r -> replies := r :: !replies)
       ~load_graph
-      (config ?bound ?concurrency ?cache_path ?metrics_file ())
+      (config ?bound ?concurrency ?cache_path ?metrics_file ?trace_dir ())
   in
   { server; out = Buffer.create 256; replies }
 
@@ -595,10 +598,65 @@ let test_verbs_and_metrics () =
           Alcotest.(check bool) "metrics file has daemon families" true
             (contains "daemon_accepted_total" text)))
 
+(* [(path, (start_us, stop_us))] of every span in a per-request Chrome
+   trace file, read back through the JSON parser. *)
+let span_windows file =
+  let json =
+    match Support.Json.parse (In_channel.with_open_bin file In_channel.input_all)
+    with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "%s: %s" file m
+  in
+  let get key conv v = Option.get (Option.bind (Support.Json.member key v) conv) in
+  List.map
+    (fun ev ->
+      let ts = get "ts" Support.Json.to_float ev in
+      ( get "path" Support.Json.to_str (get "args" Option.some ev),
+        (ts, ts +. get "dur" Support.Json.to_float ev) ))
+    (get "traceEvents" Support.Json.to_list json)
+
+(* The serving stages of a queued miss follow one another: each ends
+   before the next starts, and all lie inside the request span. The
+   queue wait starts at admission, after the receipt-time cache probe,
+   so it overlaps neither [parse] nor [cache]. *)
+let check_stage_order file =
+  let windows = span_windows file in
+  let window name =
+    match List.assoc_opt ("/request" ^ name) windows with
+    | Some w -> w
+    | None -> Alcotest.failf "%s: no /request%s span" file name
+  in
+  (* ts and dur are printed to 1 ns; their rounding may add up to 2 ns *)
+  let eps = 2e-3 in
+  let r_start, r_stop = window "" in
+  let stages =
+    List.map
+      (fun s -> (s, window ("/" ^ s)))
+      [ "parse"; "cache"; "queue"; "cache@dispatch"; "solve"; "reply" ]
+  in
+  List.iteri
+    (fun i (a, (a_start, a_stop)) ->
+      Alcotest.(check bool)
+        (a ^ " inside the request span")
+        true
+        (r_start <= a_start +. eps && a_stop <= r_stop +. eps);
+      List.iteri
+        (fun j (b, (b_start, _)) ->
+          if j > i then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s ends before %s starts" a b)
+              true
+              (a_stop <= b_start +. eps))
+        stages)
+    stages
+
 let test_trace_verb () =
-  let h = harness () in
+  let trace_dir = temp_file ".traces" in
+  Sys.mkdir trace_dir 0o755;
+  let h = harness ~trace_dir () in
   submit h ~id:"t1" "gA";
   Server.drain h.server;
+  check_stage_order (Filename.concat trace_dir "t1.json");
   (* A solved request's tree covers every serving stage, parents first. *)
   let spans = trace_spans h "t1" in
   check_well_parented spans;
@@ -637,7 +695,11 @@ let test_trace_verb () =
   feed h "TRACE nosuch";
   Alcotest.(check string) "unknown id"
     "ERROR nosuch unknown or evicted trace id\n" (output h);
-  Server.finish h.server
+  Server.finish h.server;
+  Array.iter
+    (fun f -> Sys.remove (Filename.concat trace_dir f))
+    (Sys.readdir trace_dir);
+  Sys.rmdir trace_dir
 
 let test_trace_deadline () =
   let h = harness () in
@@ -790,6 +852,102 @@ let test_pool_completion_wakes () =
   Alcotest.(check bool) "the next poll delivers the reply" true
     (List.exists (fun (r : Server.reply) -> r.Server.id = "w1") !(h.replies));
   Server.finish h.server
+
+(* With a pool the main loop never runs a solve, so a warm-cache hit
+   submitted after a long dive replies inline — zero poll ticks — while
+   the dive is still in flight. The inline daemon (concurrency 1)
+   blocks its loop on the same dive, reversing the order. *)
+let long_bb_attrs = "strategy=bb gap=0 max-nodes=4000"
+
+let test_hit_overtakes_long_dive () =
+  let line label spes id =
+    Printf.sprintf "%s spes=%d %s id=%s" label spes long_bb_attrs id
+  in
+  let replied h id =
+    List.exists (fun (r : Server.reply) -> r.Server.id = id) !(h.replies)
+  in
+  let pos sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i =
+      if i + m > n then -1 else if String.sub s i m = sub then i else go (i + 1)
+    in
+    go 0
+  in
+  let h = harness ~concurrency:2 ~bound:32 () in
+  (* warm the cache with gC *)
+  feed h (line "gC" 4 "warm");
+  Server.drain h.server;
+  Alcotest.(check bool) "warmed" true (replied h "warm");
+  (* a long dive: handed to the pool by the first poll *)
+  feed h (line "gA" 6 "slow");
+  Server.poll h.server;
+  Alcotest.(check bool) "dive still in flight" false (replied h "slow");
+  (* the hit replies inline, before any further poll *)
+  feed h (line "gC" 4 "fast");
+  Alcotest.(check bool) "hit replied with zero poll ticks" true
+    (replied h "fast");
+  Alcotest.(check bool) "dive still unreplied" false (replied h "slow");
+  Server.drain h.server;
+  Server.finish h.server;
+  Alcotest.(check bool) "dive eventually replied" true (replied h "slow");
+  let transcript = output h in
+  let fast = pos "BEGIN fast" transcript and slow = pos "BEGIN slow" transcript in
+  Alcotest.(check bool) "transcript: fast before slow" true
+    (fast >= 0 && slow >= 0 && fast < slow);
+  (* contrast: the inline daemon solves in poll, so the same driving
+     sequence replies to the dive first *)
+  let h = harness ~concurrency:1 ~bound:32 () in
+  feed h (line "gC" 4 "warm");
+  Server.drain h.server;
+  feed h (line "gA" 6 "slow");
+  Server.poll h.server;
+  Alcotest.(check bool) "inline daemon finished the dive in poll" true
+    (replied h "slow");
+  feed h (line "gC" 4 "fast");
+  Server.finish h.server;
+  let transcript = output h in
+  let fast = pos "BEGIN fast" transcript and slow = pos "BEGIN slow" transcript in
+  Alcotest.(check bool) "transcript: slow before fast inline" true
+    (fast >= 0 && slow >= 0 && slow < fast)
+
+(* Eight queued duplicates on a 2-worker pool: at most one solve per
+   worker is in flight before the first lands, and every later
+   duplicate hits the stored entry at dispatch. *)
+let test_pool_duplicate_storm () =
+  let concurrency = 2 in
+  let h = harness ~concurrency ~bound:32 () in
+  for i = 1 to 8 do
+    feed h (Printf.sprintf "gB spes=6 id=dup%d" i)
+  done;
+  Server.drain h.server;
+  Server.finish h.server;
+  let s = Server.stats h.server in
+  Alcotest.(check bool) "solves <= concurrency" true
+    (s.Server.solved >= 1 && s.Server.solved <= concurrency);
+  Alcotest.(check int) "hits + solved = 8" 8 (s.Server.hits + s.Server.solved);
+  Alcotest.(check int) "every duplicate replied" 8 s.Server.replies;
+  for i = 1 to 8 do
+    ignore (reply_of h (Printf.sprintf "dup%d" i))
+  done
+
+(* Deadline-expired partials come back from the pool like any other
+   outcome — replied, tagged partial, never cached. *)
+let test_pool_deadline_partial () =
+  let h = harness ~concurrency:2 ~bound:32 () in
+  feed h "gB spes=6 deadline=0.001 id=p1";
+  Server.drain h.server;
+  Server.finish h.server;
+  let r = reply_of h "p1" in
+  Alcotest.(check bool) "partial status" true (r.Server.status = `Partial);
+  let response = Option.get r.Server.response in
+  Alcotest.(check bool) "feasible incumbent" true response.Batch.feasible;
+  Alcotest.(check (option reject)) "never cached" None
+    (Option.map ignore
+       (Service.Shard.find (Server.shard h.server)
+          (Req.fingerprint response.Batch.request)));
+  let s = Server.stats h.server in
+  Alcotest.(check int) "counted partial" 1 s.Server.partials;
+  Alcotest.(check int) "not counted solved" 0 s.Server.solved
 
 (* ====================================================================== *)
 (* Serve loops                                                            *)
@@ -1049,8 +1207,8 @@ let () =
             test_wake_fd_hygiene;
         ] );
       (* Socket tests fork, and OCaml 5 forbids Unix.fork once any domain
-         has ever been spawned in the process, so they must run before the
-         pool differential test. *)
+         has ever been spawned in the process, so they must run before
+         every pool-mode group ("pool" and "daemon" below). *)
       ( "serve",
         [
           Alcotest.test_case "pipe fds end to end" `Quick test_serve_pipe;
@@ -1067,5 +1225,15 @@ let () =
             test_pool_matches_inline;
           Alcotest.test_case "a pool completion wakes the loop" `Quick
             test_pool_completion_wakes;
+        ] );
+      (* Pool mode end to end: spawns domains, so also after "serve". *)
+      ( "daemon",
+        [
+          Alcotest.test_case "hit overtakes a long dive" `Quick
+            test_hit_overtakes_long_dive;
+          Alcotest.test_case "duplicate storm: solves <= pool" `Quick
+            test_pool_duplicate_storm;
+          Alcotest.test_case "deadline partial in pool mode" `Quick
+            test_pool_deadline_partial;
         ] );
     ]

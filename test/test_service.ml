@@ -1,8 +1,8 @@
 (* Tests for the service layer (lib/service): canonical fingerprint
    metamorphic properties, the canonical kernel against its list-based
    reference, cache-hit bitwise equality with fresh solves,
-   differential batched-vs-sequential runs, and persistence fault
-   recovery. *)
+   differential batched-vs-sequential runs, persistence fault
+   recovery, and a 10k-task pool hammer against a 4-way shard. *)
 
 module P = Cell.Platform
 module G = Streaming.Graph
@@ -898,6 +898,70 @@ let test_transport_reject_falls_back () =
         (resp.Batch.assignment = M.to_array fresh.Pf.best))
 
 (* ====================================================================== *)
+(* Stress: 10k pool tasks hammer a 4-way shard                            *)
+(* ====================================================================== *)
+
+(* The one concurrent-budget test of [Shard]: 10 000 probe-or-insert
+   operations from a 4-domain pool against 64 fingerprints, so tasks
+   collide on keys and every shard turns its LRU budget over mid-storm,
+   while an out-of-pool domain checks the budgets under each shard's
+   lock. *)
+let test_shard_hammer () =
+  let shards = 4 in
+  let t = Shard.create ~shards ~max_entries:32 ~max_bytes:16384 () in
+  let view = Shard.view t in
+  let requests = 10_000 in
+  let hex = "0123456789abcdef" in
+  let rng = Support.Rng.create 4242 in
+  let random_fp () = String.init 32 (fun _ -> hex.[Support.Rng.int rng 16]) in
+  let population = Array.init 64 (fun _ -> random_fp ()) in
+  let ops =
+    Array.init requests (fun _ ->
+        population.(Support.Rng.int rng (Array.length population)))
+  in
+  let hits = Atomic.make 0 and misses = Atomic.make 0 in
+  let stop = Atomic.make false in
+  let violations = Atomic.make 0 in
+  let prober =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          for i = 0 to shards - 1 do
+            Shard.For_testing.with_shard t i (fun c ->
+                if
+                  Cache.length c > Cache.max_entries c
+                  || Cache.bytes_used c > Cache.max_bytes c
+                then Atomic.incr violations)
+          done
+        done)
+  in
+  Pool.with_pool ~size:4 (fun p ->
+      ignore
+        (Pool.parallel_map p
+           (fun fp ->
+             (* classify exactly once per request: hit or miss *)
+             match view.Cache.probe fp with
+             | Some _ -> Atomic.incr hits
+             | None ->
+                 Atomic.incr misses;
+                 view.Cache.insert (sample_entry ~fp ()))
+           ops));
+  Atomic.set stop true;
+  Domain.join prober;
+  Alcotest.(check int) "hits + misses = requests" requests
+    (Atomic.get hits + Atomic.get misses);
+  Alcotest.(check bool) "some of each under a 64-problem mix" true
+    (Atomic.get hits > 0 && Atomic.get misses > 0);
+  Alcotest.(check int) "no budget violation observed mid-storm" 0
+    (Atomic.get violations);
+  Array.iteri
+    (fun i (len, bytes) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "shard %d within budget after the storm" i)
+        true
+        (len <= Shard.per_shard_entries t && bytes <= Shard.per_shard_bytes t))
+    (Shard.shard_stats t)
+
+(* ====================================================================== *)
 (* Request-file parsing                                                   *)
 (* ====================================================================== *)
 
@@ -985,4 +1049,9 @@ let () =
             test_transport_reject_falls_back;
         ] );
       ("requests", [ Alcotest.test_case "parse_line" `Quick test_parse_line ]);
+      ( "stress",
+        [
+          Alcotest.test_case "10k pool tasks vs 4-way shard" `Quick
+            test_shard_hammer;
+        ] );
     ]
