@@ -1372,18 +1372,15 @@ let daemon () =
     Printf.printf "WARNING: %d request(s) never got a reply\n" dropped;
   print_newline ()
 
-(* Fleet-scale traffic: the daemon engine under a seeded zipfian request
-   stream at shard counts {1,2,4} x skew {0.8,1.1}. Every point replays
-   the identical stream (Workload is deterministic) through a fresh
-   single-threaded server, so the concatenated reply bytes of the
-   sharded runs must equal the shards=1 reference byte for byte — the
-   identity is asserted at every measured point, not sampled. The
-   hit-rate curve replays each stream against shrinking byte budgets
-   with the solves pre-computed (a pure cache simulation: hit/miss
+(* Traffic: the daemon engine under a seeded zipfian request stream at
+   skew {0.8,1.1}. Each point replays its stream (Workload is
+   deterministic) through a fresh single-threaded server. The hit-rate
+   curve replays each stream against shrinking byte budgets with the
+   solves pre-computed (a pure cache simulation: hit/miss
    classification does not depend on how a miss was filled), and must
    be monotone in the budget by the LRU inclusion property. *)
 let traffic () =
-  print_endline "== Fleet-scale traffic: sharded cache under zipfian load ==";
+  print_endline "== Traffic: the daemon cache under zipfian load ==";
   let quick = !scale < 1. in
   let n_requests = if quick then 240 else 1200 in
   let restarts = if quick then 2 else Cellsched.Portfolio.default_restarts in
@@ -1425,30 +1422,23 @@ let traffic () =
         ];
     }
   in
-  let skews = [ 0.8; 1.1 ] and shard_counts = [ 1; 2; 4 ] in
+  let skews = [ 0.8; 1.1 ] in
   Obs.Metrics.set_enabled true;
-  let run_point ~shards lines =
+  let run_point lines =
     Obs.Metrics.reset Obs.Metrics.default;
     let config =
-      {
-        Daemon.Server.default_config with
-        bound = n_requests;
-        flush_period = 0.;
-        cache_shards = shards;
-      }
+      { Daemon.Server.default_config with bound = n_requests; flush_period = 0. }
     in
     let server =
       Daemon.Server.create
         ~load_graph:(fun name -> List.assoc name presets)
         config
     in
-    let buf = Buffer.create (1 lsl 16) in
-    let out = Buffer.add_string buf in
     let _, elapsed =
       time_of (fun () ->
           List.iter
             (fun line ->
-              Daemon.Server.handle_line server ~out line;
+              Daemon.Server.handle_line server ~out:ignore line;
               Daemon.Server.poll server)
             lines;
           Daemon.Server.finish server)
@@ -1463,60 +1453,45 @@ let traffic () =
       let v = Obs.Metrics.Histogram.quantile h q in
       if Float.is_nan v then 0. else v
     in
-    (Buffer.contents buf, elapsed, stats, (pct 0.50, pct 0.95, pct 0.99))
+    (elapsed, stats, (pct 0.50, pct 0.95, pct 0.99))
   in
   let table =
-    Support.Table.create
-      [ "skew"; "shards"; "req/s"; "p50"; "p95"; "p99"; "hit"; "bitwise" ]
+    Support.Table.create [ "skew"; "req/s"; "p50"; "p95"; "p99"; "hit" ]
   in
   let point_rows = ref [] in
-  let all_bitwise = ref true in
   let total_dropped = ref 0 in
   List.iter
     (fun skew ->
-      let lines =
-        Service.Workload.(lines ~ids:true (generate (spec skew)))
+      let elapsed, stats, (p50, p95, p99) =
+        run_point Service.Workload.(lines ~ids:true (generate (spec skew)))
       in
-      let reference = ref "" in
-      List.iter
-        (fun shards ->
-          let output, elapsed, stats, (p50, p95, p99) =
-            run_point ~shards lines
-          in
-          if shards = 1 then reference := output;
-          let bitwise = String.equal output !reference in
-          if not bitwise then all_bitwise := false;
-          let dropped =
-            stats.Daemon.Server.received - stats.Daemon.Server.replies
-          in
-          total_dropped := !total_dropped + dropped;
-          let rps = float_of_int stats.Daemon.Server.replies /. elapsed in
-          let hit_rate =
-            float_of_int stats.Daemon.Server.hits
-            /. float_of_int (max 1 stats.Daemon.Server.received)
-          in
-          point_rows :=
-            Printf.sprintf
-              "    { \"skew\": %.2f, \"shards\": %d, \"requests\": %d, \
-               \"rps\": %.1f, \"latency_ms\": { \"p50\": %.6f, \"p95\": \
-               %.6f, \"p99\": %.6f }, \"hits\": %d, \"solved\": %d, \
-               \"dropped\": %d, \"bitwise_vs_single\": %b }"
-              skew shards stats.Daemon.Server.received rps (p50 *. 1e3)
-              (p95 *. 1e3) (p99 *. 1e3) stats.Daemon.Server.hits
-              stats.Daemon.Server.solved dropped bitwise
-            :: !point_rows;
-          Support.Table.add_row table
-            [
-              Printf.sprintf "%.2f" skew;
-              string_of_int shards;
-              Printf.sprintf "%.0f" rps;
-              Printf.sprintf "%.2f ms" (p50 *. 1e3);
-              Printf.sprintf "%.2f ms" (p95 *. 1e3);
-              Printf.sprintf "%.2f ms" (p99 *. 1e3);
-              Printf.sprintf "%.0f%%" (hit_rate *. 100.);
-              (if bitwise then "yes" else "NO");
-            ])
-        shard_counts)
+      let dropped =
+        stats.Daemon.Server.received - stats.Daemon.Server.replies
+      in
+      total_dropped := !total_dropped + dropped;
+      let rps = float_of_int stats.Daemon.Server.replies /. elapsed in
+      let hit_rate =
+        float_of_int stats.Daemon.Server.hits
+        /. float_of_int (max 1 stats.Daemon.Server.received)
+      in
+      point_rows :=
+        Printf.sprintf
+          "    { \"skew\": %.2f, \"requests\": %d, \"rps\": %.1f, \
+           \"latency_ms\": { \"p50\": %.6f, \"p95\": %.6f, \"p99\": %.6f \
+           }, \"hits\": %d, \"solved\": %d, \"dropped\": %d }"
+          skew stats.Daemon.Server.received rps (p50 *. 1e3) (p95 *. 1e3)
+          (p99 *. 1e3) stats.Daemon.Server.hits stats.Daemon.Server.solved
+          dropped
+        :: !point_rows;
+      Support.Table.add_row table
+        [
+          Printf.sprintf "%.2f" skew;
+          Printf.sprintf "%.0f" rps;
+          Printf.sprintf "%.2f ms" (p50 *. 1e3);
+          Printf.sprintf "%.2f ms" (p95 *. 1e3);
+          Printf.sprintf "%.2f ms" (p99 *. 1e3);
+          Printf.sprintf "%.0f%%" (hit_rate *. 100.);
+        ])
     skews;
   (* Hit rate vs cache bytes: replay against shrinking budgets with
      every solve pre-computed once. *)
@@ -1552,11 +1527,11 @@ let traffic () =
       let previous = ref (-1.) in
       List.iter
         (fun budget ->
-          let shard =
-            Service.Shard.create ~shards:4 ~max_entries:(1 lsl 20)
-              ~max_bytes:budget ()
+          let view =
+            Service.Shard.view
+              (Service.Shard.create ~max_entries:(1 lsl 20) ~max_bytes:budget
+                 ())
           in
-          let view = Service.Shard.view shard in
           let hits = ref 0 in
           Array.iter
             (fun r ->
@@ -1570,8 +1545,7 @@ let traffic () =
           previous := rate;
           curve_rows :=
             Printf.sprintf
-              "    { \"skew\": %.2f, \"shards\": 4, \"cache_bytes\": %d, \
-               \"hit_rate\": %.4f }"
+              "    { \"skew\": %.2f, \"cache_bytes\": %d, \"hit_rate\": %.4f }"
               skew budget rate
             :: !curve_rows)
         budgets)
@@ -1585,7 +1559,6 @@ let traffic () =
     \  \"seed\": %d,\n\
     \  \"requests_per_point\": %d,\n\
     \  \"population\": %d,\n\
-    \  \"all_bitwise\": %b,\n\
     \  \"dropped\": %d,\n\
     \  \"hit_rate_monotone\": %b,\n\
     \  \"points\": [\n%s\n  ],\n\
@@ -1593,14 +1566,11 @@ let traffic () =
      }\n"
     (20100419 + !seed) n_requests
     (Array.length (Service.Workload.population (spec 1.1)))
-    !all_bitwise !total_dropped !monotone
+    !total_dropped !monotone
     (String.concat ",\n" (List.rev !point_rows))
     (String.concat ",\n" (List.rev !curve_rows));
   close_out oc;
   print_endline "wrote BENCH_traffic.json";
-  if not !all_bitwise then
-    print_endline
-      "WARNING: a sharded run's replies diverged from the shards=1 reference";
   if !total_dropped <> 0 then
     Printf.printf "WARNING: %d request(s) never got a reply\n" !total_dropped;
   if not !monotone then

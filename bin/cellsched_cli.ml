@@ -970,15 +970,7 @@ let batch_cmd =
             exit 2)
     in
     (* Lines naming the same graph file share one parse. *)
-    let graphs = Hashtbl.create 8 in
-    let load_graph file =
-      match Hashtbl.find_opt graphs file with
-      | Some g -> g
-      | None ->
-          let g = load_graph file in
-          Hashtbl.add graphs file g;
-          g
-    in
+    let load_graph = Service.Request.graph_loader () in
     let requests =
       try
         String.split_on_char '\n' contents
@@ -990,14 +982,14 @@ let batch_cmd =
         Printf.eprintf "cellsched: %s: %s\n" requests_path m;
         exit 2
     in
-    let shard =
+    let cache =
       match cache_path with
       | Some path -> Service.Shard.load_files path
       | None -> Service.Shard.create ()
     in
     let responses =
       with_optional_pool parallel (fun pool ->
-          Service.Batch.run_view ?pool ~view:(Service.Shard.view shard) requests)
+          Service.Batch.run_view ?pool ~view:(Service.Shard.view cache) requests)
     in
     List.iter (fun r -> print_string (Service.Batch.render r)) responses;
     let hits =
@@ -1012,9 +1004,8 @@ let batch_cmd =
     | None -> ()
     | Some path -> (
         (* Read-modify-write of the named cache file: writing back over
-           the file(s) we loaded is the contract, no --force needed. A
-           sharded daemon's FILE.shardI files are folded into FILE. *)
-        match Service.Shard.save_files ~force:true shard path with
+           the file we loaded is the contract, no --force needed. *)
+        match Service.Shard.save_files ~force:true cache path with
         | Ok () -> ()
         | Error m ->
             Printf.eprintf "cellsched: %s\n" m;
@@ -1033,8 +1024,8 @@ let batch_cmd =
   let cache =
     let doc =
       "Persistent mapping cache: loaded before the batch (a missing or \
-       corrupt file starts empty; a sharded daemon's FILE.shardI files are \
-       read too) and written back after as the single FILE. Without this \
+       corrupt file starts empty) and written back after. It is the same \
+       file serve --cache reads and flushes. Without this \
        option the batch still deduplicates in memory. With --parallel, \
        distinct misses are solved in parallel over the pool, one task \
        per miss; the output is bitwise identical at any pool size."
@@ -1054,15 +1045,10 @@ let batch_cmd =
 
 let serve_cmd =
   let run n_spe bound parallel socket cache_path
-      cache_entries cache_bytes cache_shards flush_period metrics_file
+      cache_entries cache_bytes flush_period metrics_file
       trace_dir =
     if bound <= 0 then begin
       Printf.eprintf "cellsched: --bound must be positive\n";
-      exit 2
-    end;
-    if cache_shards <= 0 || cache_shards > Service.Shard.max_shards then begin
-      Printf.eprintf "cellsched: --cache-shards must be in 1-%d\n"
-        Service.Shard.max_shards;
       exit 2
     end;
     if flush_period < 0. then begin
@@ -1083,7 +1069,6 @@ let serve_cmd =
         cache_path;
         cache_entries;
         cache_bytes;
-        cache_shards;
         flush_period;
         metrics_file;
         trace_dir;
@@ -1147,16 +1132,6 @@ let serve_cmd =
       & opt (some int) None
       & info [ "cache-bytes" ] ~docv:"N" ~doc:"Cache LRU byte bound.")
   in
-  let cache_shards =
-    let doc =
-      "Shard the warm cache across $(docv) independently-locked shards \
-       (fingerprint-routed; entry/byte bounds are totals split across \
-       shards; replies are bitwise identical at any shard count). With a \
-       persistent --cache, each shard flushes to its own FILE.shardI \
-       atomically; shard-count changes migrate at load."
-    in
-    Arg.(value & opt int 1 & info [ "cache-shards" ] ~docv:"N" ~doc)
-  in
   let flush_period =
     let doc =
       "Seconds between background cache/metrics flushes (0 disables the \
@@ -1193,7 +1168,7 @@ let serve_cmd =
           per-request tracing")
     Term.(
       const run $ n_spe_arg $ bound $ parallel $ socket $ cache $ cache_entries
-      $ cache_bytes $ cache_shards $ flush_period $ metrics_file $ trace_dir)
+      $ cache_bytes $ flush_period $ metrics_file $ trace_dir)
 
 (* --- workload --------------------------------------------------------------- *)
 
@@ -1491,7 +1466,7 @@ let traffic_cmd =
 let cache_cmd =
   let run path json clear force =
     if clear then begin
-      match Service.Shard.save_files ~force (Service.Shard.create ()) path with
+      match Service.Cache.save_file ~force (Service.Cache.create ()) path with
       | Ok () ->
           Printf.printf "wrote %s (empty cache)\n" path;
           0
@@ -1499,30 +1474,24 @@ let cache_cmd =
           Printf.eprintf "cellsched: %s\n" m;
           2
     end
-    else if
-      not
-        (Sys.file_exists path
-        || Sys.file_exists (Service.Shard.shard_path path ~shards:2 0))
-    then begin
+    else if not (Sys.file_exists path) then begin
       Printf.printf "%s: no cache file (a batch run would start empty)\n" path;
       0
     end
     else begin
-      (* The same load a batch --cache run does: a sharded daemon's
-         FILE.shardI files are read when present. *)
-      let shard =
-        Service.Shard.load_files path ~on_corrupt:(fun file reason ->
+      let cache =
+        Service.Cache.load_file path ~on_corrupt:(fun reason ->
             Printf.eprintf
-              "cellsched: %s: corrupt cache (%s); treating as empty\n" file
+              "cellsched: %s: corrupt cache (%s); treating as empty\n" path
               reason)
       in
-      let entries = Service.Shard.entries shard in
+      let entries = Service.Cache.entries cache in
       if json then print_endline (Service.Cache.entries_to_json_string entries)
       else begin
-        let n = Service.Shard.length shard in
+        let n = Service.Cache.length cache in
         Printf.printf "%s: %d entr%s, ~%d bytes\n" path n
           (if n = 1 then "y" else "ies")
-          (Service.Shard.bytes_used shard);
+          (Service.Cache.bytes_used cache);
         List.iter
           (fun (e : Service.Cache.entry) ->
             Printf.printf "  %s  %-28s  feasible=%b  period=%.6g s  %s\n"
@@ -1539,9 +1508,7 @@ let cache_cmd =
       required
       & pos 0 (some string) None
       & info [] ~docv:"FILE"
-          ~doc:
-            "Cache file (as written by batch --cache); a sharded daemon's \
-             FILE.shardI files are read too.")
+          ~doc:"Cache file (as written by batch --cache or serve --cache).")
   in
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Dump the cache as JSON.")
@@ -1551,9 +1518,8 @@ let cache_cmd =
       value & flag
       & info [ "clear" ]
           ~doc:
-            "Write an empty cache to $(i,FILE), removing any FILE.shardI \
-             files (refuses to overwrite or remove an existing file \
-             without --force).")
+            "Write an empty cache to $(i,FILE) (refuses to overwrite an \
+             existing file without --force).")
   in
   Cmd.v
     (Cmd.info "cache"

@@ -111,7 +111,6 @@ type config = {
   cache_path : string option;
   cache_entries : int option;
   cache_bytes : int option;
-  cache_shards : int;
   flush_period : float;
   metrics_file : string option;
   trace_dir : string option;
@@ -126,7 +125,6 @@ let default_config =
     cache_path = None;
     cache_entries = None;
     cache_bytes = None;
-    cache_shards = 1;
     flush_period = 30.;
     metrics_file = None;
     trace_dir = None;
@@ -179,10 +177,8 @@ type stats = {
 
 type t = {
   config : config;
-  shard : Shard.t;
-  (* Every cache touch below goes through this view, so the serving
-     code is byte-identical whether the map has 1 shard or 64. *)
-  view : Cache.view;
+  cache : Shard.t;
+  view : Cache.view;  (* every cache touch below goes through it *)
   pool : Par.Pool.t option;
   admission : job Admission.t;
   (* Pool workers push completions; only the main loop drains. The
@@ -217,29 +213,19 @@ type t = {
   mutable replies : int;
 }
 
-let default_loader () =
-  let table = Hashtbl.create 16 in
-  fun path ->
-    match Hashtbl.find_opt table path with
-    | Some g -> g
-    | None ->
-        let g = Streaming.Serialize.of_file path in
-        Hashtbl.add table path g;
-        g
-
 let create ?(on_reply = fun _ -> ()) ?load_graph config =
   if config.concurrency <= 0 then
     invalid_arg "Server.create: non-positive concurrency";
   if config.flush_period < 0. then
     invalid_arg "Server.create: negative flush period";
-  let shard =
+  let cache =
     match config.cache_path with
     | Some path ->
-        Shard.load_files ~shards:config.cache_shards
-          ?max_entries:config.cache_entries ?max_bytes:config.cache_bytes path
+        Shard.load_files ?max_entries:config.cache_entries
+          ?max_bytes:config.cache_bytes path
     | None ->
-        Shard.create ~shards:config.cache_shards
-          ?max_entries:config.cache_entries ?max_bytes:config.cache_bytes ()
+        Shard.create ?max_entries:config.cache_entries
+          ?max_bytes:config.cache_bytes ()
   in
   let pool =
     if config.concurrency > 1 then
@@ -247,7 +233,7 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     else None
   in
   let load_graph =
-    match load_graph with Some f -> f | None -> default_loader ()
+    match load_graph with Some f -> f | None -> Request.graph_loader ()
   in
   (match config.trace_dir with
   | Some dir -> ( try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ())
@@ -257,8 +243,8 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
   Unix.set_nonblock wake_w;
   {
     config;
-    shard;
-    view = Shard.view shard;
+    cache;
+    view = Shard.view cache;
     pool;
     admission = Admission.create ~bound:config.bound;
     completed = Queue.create ();
@@ -285,7 +271,7 @@ let create ?(on_reply = fun _ -> ()) ?load_graph config =
     replies = 0;
   }
 
-let shard t = t.shard
+let cache t = t.cache
 
 let stats t =
   {
@@ -374,7 +360,7 @@ let write_metrics_file path =
 let flush t =
   (match t.config.cache_path with
   | Some path ->
-      (match Shard.save_files ~force:true t.shard path with
+      (match Shard.save_files ~force:true t.cache path with
       | Ok () ->
           t.dirty <- false;
           metrics_inc m_flushes
@@ -603,6 +589,14 @@ let poll t =
   maybe_flush t;
   publish_queue t
 
+(* A malformed request line: counted as received, answered with one
+   ERROR under its own id when it had one, else the next [qN]. *)
+let malformed t ~out ?id reason =
+  t.received <- t.received + 1;
+  metrics_inc m_requests;
+  let id = match id with Some id -> id | None -> next_id t in
+  send_error t ~id ~out reason
+
 let handle_line t ~out line =
   (* Receipt is stamped before parsing: loading and parsing the graph
      file counts toward the reply latency and the deadline budget. *)
@@ -629,11 +623,7 @@ let handle_line t ~out line =
       | Some spans ->
           out (Protocol.render_trace ~id (Obs.Span.render_flat spans))
       | None -> out (Protocol.render_error ~id "unknown or evicted trace id"))
-  | Protocol.Malformed { id; reason } ->
-      t.received <- t.received + 1;
-      metrics_inc m_requests;
-      let id = match id with Some id -> id | None -> next_id t in
-      send_error t ~id ~out reason
+  | Protocol.Malformed { id; reason } -> malformed t ~out ?id reason
   | Protocol.Command (Protocol.Submit { id; request }) -> (
       t.received <- t.received + 1;
       metrics_inc m_requests;
@@ -752,26 +742,50 @@ let write_all fd s =
   in
   go 0
 
-(* Split complete lines out of [buf], leaving a trailing partial line
-   (no '\n' yet) buffered for the next read. *)
-let drain_lines buf f =
-  if Buffer.length buf > 0 then begin
-    let s = Buffer.contents buf in
-    match String.index_opt s '\n' with
-    | None -> ()
-    | Some _ ->
-        Buffer.clear buf;
-        let n = String.length s in
-        let rec go start =
-          if start < n then
-            match String.index_from_opt s start '\n' with
-            | Some i ->
-                f (String.sub s start (i - start));
-                go (i + 1)
-            | None -> Buffer.add_substring buf s start (n - start)
-        in
-        go 0
-  end
+(* The longest request line the serve loops accept, newline excluded. *)
+let max_line_bytes = 65536
+
+(* One input stream's unfinished line. Once it passes [max_line_bytes]
+   it has been answered and [overflow] drops its bytes up to the next
+   newline. *)
+type line_reader = { partial : Buffer.t; mutable overflow : bool }
+
+let line_reader () = { partial = Buffer.create 1024; overflow = false }
+
+let rec newline_at chunk i n =
+  if i >= n || Bytes.get chunk i = '\n' then i else newline_at chunk (i + 1) n
+
+(* Hand every line completed by the [n] bytes just read into [chunk] to
+   {!handle_line}. Only those bytes are scanned, so a line costs linear
+   time however it arrives, and a reader never holds more than
+   [max_line_bytes]. An overlong line is answered once, as soon as it
+   passes the limit, with [ERROR <qN> line too long]. *)
+let feed_lines t ~out r chunk n =
+  let rec go start =
+    if start < n then begin
+      let stop = newline_at chunk start n in
+      if not r.overflow then
+        if Buffer.length r.partial + (stop - start) > max_line_bytes then begin
+          r.overflow <- true;
+          Buffer.reset r.partial;
+          t.line_no <- t.line_no + 1;
+          malformed t ~out "line too long"
+        end
+        else Buffer.add_subbytes r.partial chunk start (stop - start);
+      if stop < n then begin
+        if not r.overflow then handle_line t ~out (Buffer.contents r.partial);
+        Buffer.clear r.partial;
+        r.overflow <- false;
+        go (stop + 1)
+      end
+    end
+  in
+  go 0
+
+(* At end of input, a final line without a newline still gets a reply. *)
+let finish_lines t ~out r =
+  if Buffer.length r.partial > 0 && not r.overflow then
+    handle_line t ~out (Buffer.contents r.partial)
 
 let install_signals t =
   let handler = Sys.Signal_handle (fun _ -> request_shutdown t) in
@@ -786,7 +800,7 @@ let serve_fd ?on_reply ?load_graph config ~input ~output =
   let t = create ?on_reply ?load_graph config in
   install_signals t;
   let out = write_all output in
-  let buf = Buffer.create 4096 in
+  let reader = line_reader () in
   let chunk = Bytes.create 65536 in
   let eof = ref false in
   while (not (shutdown_requested t)) && not (!eof && idle t) do
@@ -794,16 +808,12 @@ let serve_fd ?on_reply ?load_graph config ~input ~output =
     if wait t (if !eof then [] else [ input ]) <> [] then begin
       match Unix.read input chunk 0 (Bytes.length chunk) with
       | 0 -> eof := true
-      | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          drain_lines buf (handle_line t ~out)
+      | n -> feed_lines t ~out reader chunk n
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     end;
     poll t
   done;
-  (* A final line without a trailing newline still deserves a reply. *)
-  if Buffer.length buf > 0 && not (shutdown_requested t) then
-    handle_line t ~out (Buffer.contents buf);
+  if not (shutdown_requested t) then finish_lines t ~out reader;
   if shutdown_requested t then shutdown t else finish t;
   t
 
@@ -828,7 +838,7 @@ let serve_socket ?on_reply ?load_graph config ~path =
      Unix.close srv;
      release t;
      raise e);
-  let clients : (Unix.file_descr, Buffer.t) Hashtbl.t = Hashtbl.create 8 in
+  let clients : (Unix.file_descr, line_reader) Hashtbl.t = Hashtbl.create 8 in
   let close_client fd =
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Hashtbl.remove clients fd
@@ -845,20 +855,17 @@ let serve_socket ?on_reply ?load_graph config ~path =
       (fun fd ->
         if fd == srv then (
           match Unix.accept srv with
-          | cfd, _ -> Hashtbl.replace clients cfd (Buffer.create 1024)
+          | cfd, _ -> Hashtbl.replace clients cfd (line_reader ())
           | exception Unix.Unix_error _ -> ())
         else
           match Hashtbl.find_opt clients fd with
           | None -> ()
-          | Some buf -> (
+          | Some reader -> (
               match Unix.read fd chunk 0 (Bytes.length chunk) with
               | 0 ->
-                  if Buffer.length buf > 0 then
-                    handle_line t ~out:(client_out fd) (Buffer.contents buf);
+                  finish_lines t ~out:(client_out fd) reader;
                   close_client fd
-              | n ->
-                  Buffer.add_subbytes buf chunk 0 n;
-                  drain_lines buf (handle_line t ~out:(client_out fd))
+              | n -> feed_lines t ~out:(client_out fd) reader chunk n
               | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
               | exception Unix.Unix_error _ -> close_client fd))
       (wait t fds);

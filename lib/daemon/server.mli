@@ -37,19 +37,12 @@
       says [source: solver] where inline says [source: cache].
       Warm-cache hits never queue, so at [n > 1] they overtake long
       dives still in flight.
-    - {b Sharding}: the warm cache is a {!Service.Shard} map of
-      [config.cache_shards] independently-locked shards; every probe
-      and insert below goes through its {!Service.Cache.view}, so the
-      serving code — and the reply bytes — are identical at any shard
-      count. One shard (the default) reads and writes the plain
-      [cache_path] file.
-    - {b Persistence}: the cache loads warm from [cache_path] at
-      start-up, flushes periodically ([flush_period] seconds after the
-      last flush, when dirty; the serve loops' [select] timeout is set
-      to that deadline) and always on shutdown — atomically {e per shard}
-      ({!Service.Shard.save_files}), so a kill mid-flush never loses
-      any shard's previous complete snapshot. Shard-count changes
-      (and legacy single-file caches) migrate automatically at load.
+    - {b Persistence}: the warm cache (one locked LRU,
+      {!Service.Shard}) loads from [cache_path] at start-up, flushes
+      periodically ([flush_period] seconds after the last flush, when
+      dirty; the serve loops' [select] timeout is set to that deadline)
+      and always on shutdown — atomically ({!Service.Shard.save_files}),
+      so a kill mid-flush never loses the previous complete snapshot.
     - {b Shutdown}: SIGINT/SIGTERM (installed by the serve loops) and
       the [QUIT] verb set one atomic flag and write a wake byte, so a
       loop blocked with nothing to do notices at once; in-flight
@@ -65,7 +58,7 @@
       parsed) with children for the line and graph parse ([parse]), the
       cache probe ([cache] at receipt,
       [cache@dispatch] at the queue head), the admission-queue wait
-      ([queue], stamped from receipt), the [solve] (whose subtree is
+      ([queue], stamped at admission), the [solve] (whose subtree is
       the solver flight recorder of {!Service.Batch.solve_request} —
       portfolio entrants, dive/fanout/subtree tasks, [milp-bb]) and the
       [reply] rendering/write. Finished trees are retained in a
@@ -89,12 +82,8 @@ type config = {
   concurrency : int;  (** [1] = inline solves; [n > 1] = pool of [n]. *)
   cache_path : string option;
       (** Warm-start load at create, flush target afterwards. *)
-  cache_entries : int option;  (** Total LRU entry bound (default 1024). *)
-  cache_bytes : int option;  (** Total LRU byte bound (default 16 MiB). *)
-  cache_shards : int;
-      (** Independently-locked cache shards (default 1; max
-          {!Service.Shard.max_shards}). Budgets above are totals,
-          split evenly across shards. *)
+  cache_entries : int option;  (** LRU entry bound (default 1024). *)
+  cache_bytes : int option;  (** LRU byte bound (default 16 MiB). *)
   flush_period : float;
       (** Seconds between background flushes; [0.] disables the
           periodic flush (shutdown still flushes). *)
@@ -107,8 +96,8 @@ type config = {
 }
 
 val default_config : config
-(** 8 SPEs, portfolio strategy, bound 64, concurrency 1, one cache
-    shard, no persistence, 30 s flush period, no trace directory. *)
+(** 8 SPEs, portfolio strategy, bound 64, concurrency 1, no
+    persistence, 30 s flush period, no trace directory. *)
 
 type status = [ `Hit | `Solved | `Partial | `Rejected | `Error of string ]
 
@@ -139,13 +128,13 @@ val create :
   config ->
   t
 (** [on_reply] observes every request reply (tests, bench latency
-    collection). [load_graph] (default: a memoizing
-    {!Streaming.Serialize.of_file}) lets tests resolve graph names
+    collection). [load_graph] (default: {!Service.Request.graph_loader})
+    lets tests resolve graph names
     without touching the filesystem.
     @raise Invalid_argument on non-positive [bound] or [concurrency]. *)
 
-val shard : t -> Service.Shard.t
-(** The warm cache (a 1-shard map unless configured otherwise). *)
+val cache : t -> Service.Shard.t
+(** The warm cache. *)
 
 val stats : t -> stats
 
@@ -198,6 +187,14 @@ val finish : t -> unit
 val shutdown : t -> unit
 (** Fast stop (the SIGTERM/QUIT path): cancel in-flight solves, reply
     [partial] to everything admitted, then {!finish}. *)
+
+val max_line_bytes : int
+(** The longest request line the serve loops accept (64 KiB, newline
+    excluded). A longer line is answered once, as soon as it passes the
+    limit, with [ERROR <qN> line too long] (counted as a malformed
+    line), and its remaining bytes are dropped up to the next newline.
+    Input is scanned once as it arrives, so a client never costs more
+    than this per connection in buffered bytes. *)
 
 val serve_fd :
   ?on_reply:(reply -> unit) ->

@@ -112,9 +112,8 @@ let validate (r : Request.t) (entry : Cache.entry) assignment =
 
 (* The cache probe shared by the batch classifier and the daemon's hit
    path, so both answer a given request bitwise alike. Every cache
-   touch goes through a {!Cache.view} ({!Shard.view}) — the reply bytes
-   depend only on what the probe returns, which is why every shard
-   count answers identically. *)
+   touch goes through a {!Cache.view} ({!Shard.view}): the reply bytes
+   depend only on what the probe returns. *)
 let try_cache_view ~(view : Cache.view) (r : Request.t) =
   match view.Cache.probe r.Request.fingerprint with
   | None -> None

@@ -1,6 +1,6 @@
-(** Batched mapping front end: answer a stream of {!Request}s from a
-    {!Shard} map (through its {!Cache.view}), solving only the distinct
-    misses.
+(** Batched mapping front end: answer a stream of {!Request}s from the
+    {!Shard} cache (through its {!Cache.view}), solving only the
+    distinct misses.
 
     {b Pipeline.} Every request arrives keyed: its fingerprint and
     canonical order were computed once, when it was built
@@ -33,7 +33,7 @@
     Observability ([svc_*] families, default-off like every other
     layer): requests/hits/misses/transport-rejects counters and a batch
     latency histogram here; evictions and recoveries in {!Cache};
-    per-shard size gauges in {!Shard}. *)
+    the size gauges in {!Shard}. *)
 
 type source =
   | Hit  (** Answered from the cache (incl. in-batch duplicates). *)
@@ -71,9 +71,7 @@ val try_cache_view : view:Cache.view -> Request.t -> response option
     for a singleton batch hitting the same entry; [None] is a miss (a
     failed transport validation bumps [svc_transport_rejects_total],
     exactly as in {!run_view}). Never solves. Every cache touch goes
-    through the [view] ({!Shard.view}), so every shard count serves
-    requests through identical code — the basis of the
-    sharded-vs-single bitwise-identity guarantee. *)
+    through the [view] ({!Shard.view}). *)
 
 val solved_response_view :
   ?store:bool -> view:Cache.view -> Request.t -> int array * float -> response

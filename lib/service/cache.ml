@@ -56,8 +56,6 @@ let create ?(max_entries = 1024) ?(max_bytes = 16 * 1024 * 1024) () =
 
 let length t = Hashtbl.length t.tbl
 let bytes_used t = t.bytes
-let max_entries t = t.max_entries
-let max_bytes t = t.max_bytes
 
 (* Approximate resident size: words for the record and array plus the
    string payloads. Only relative accuracy matters — the bound exists

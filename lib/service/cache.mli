@@ -1,7 +1,7 @@
-(** LRU cache of solved mappings, keyed by request fingerprint: one
-    shard of a {!Shard} map. Serving code never holds a [Cache.t]
-    directly; it goes through {!Shard}, whose one-shard form reads and
-    writes the same plain file documented here.
+(** LRU cache of solved mappings, keyed by request fingerprint.
+    Serving code never holds a [Cache.t] directly; it goes through
+    {!Shard}, which puts one [Cache.t] behind one lock and reads and
+    writes the plain file documented here.
 
     Bounded both by entry count and by (approximate) resident bytes;
     inserting past either bound evicts least-recently-used entries and
@@ -36,7 +36,7 @@ type view = {
 }
 (** A cache as the batch front end sees it: probe and insert, nothing
     else. {!Batch} routes every cache touch through a [view], which
-    {!Shard.view} builds over a fingerprint-sharded map. *)
+    {!Shard.view} builds over the locked serving cache. *)
 
 type t
 
@@ -45,7 +45,7 @@ val version : int
 
 val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
 (** Defaults: 1024 entries, 16 MiB. A cache publishes no size gauges;
-    {!Shard} publishes per-shard ones (the event counters — evictions,
+    {!Shard} publishes them (the event counters — evictions,
     recoveries — are process-wide).
     @raise Invalid_argument on non-positive bounds. *)
 
@@ -53,11 +53,6 @@ val length : t -> int
 
 val bytes_used : t -> int
 (** Approximate resident size of the stored entries. *)
-
-val max_entries : t -> int
-val max_bytes : t -> int
-(** The bounds this cache was created with (the shard-budget invariant
-    checks read them back). *)
 
 val find : t -> string -> entry option
 (** Fingerprint lookup; a hit refreshes the entry's recency. *)

@@ -178,3 +178,13 @@ let parse_line ~load_graph ?(default_spes = 8)
         (make ~label:file
            ~platform:(Cell.Platform.qs22 ~n_spe:!spes ())
            ~graph ~strategy ~deadline_ms:!deadline ~prio:!prio)
+
+let graph_loader () =
+  let table = Hashtbl.create 16 in
+  fun path ->
+    match Hashtbl.find_opt table path with
+    | Some g -> g
+    | None ->
+        let g = Streaming.Serialize.of_file path in
+        Hashtbl.add table path g;
+        g

@@ -87,3 +87,9 @@ val parse_line :
     with [spes] SPEs (default [default_spes], itself defaulting to 8).
     [deadline] must be a positive number of milliseconds.
     @raise Failure with the line number on malformed input. *)
+
+val graph_loader : unit -> string -> Streaming.Graph.t
+(** A fresh memoizing [load_graph] for {!parse_line}: each path is read
+    with {!Streaming.Serialize.of_file} on first sight and the same
+    graph is returned after that. The table lives as long as the
+    closure; it is not bounded and does not notice edited files. *)

@@ -10,8 +10,8 @@
 
     Everything is deterministic under {!Support.Rng}: equal specs
     generate byte-equal streams, which is what lets the traffic suite
-    assert bitwise-identical replies across shard counts and pool sizes,
-    and lets CI replay the exact published benchmark load. *)
+    assert bitwise-identical replies across pool sizes, and lets CI
+    replay the exact published benchmark load. *)
 
 type spec = {
   seed : int;

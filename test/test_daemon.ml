@@ -4,9 +4,10 @@
    admission, deadline-expired partials validated feasible), graceful-
    shutdown cache flushes with bitwise warm restarts, pool-vs-inline
    differential runs, the wake pipe (a pool completion wakes the loop;
-   engines leak no descriptors), the two serve loops end to end
-   (pipe fds and a forked Unix-domain-socket server, including SIGTERM
-   of a busy and of an idle server), and pool mode: inline cache hits
+   engines leak no descriptors), the cache gauges, the two serve loops
+   end to end (pipe fds and a forked Unix-domain-socket server,
+   including a 10 MB line and SIGTERM of a busy and of an idle server),
+   and pool mode: inline cache hits
    overtaking long dives, duplicate storms bounded by the pool size,
    deadline partials never cached. *)
 
@@ -462,7 +463,7 @@ let test_deadline_partial_feasible () =
   (* Timing-dependent results must never enter the deterministic cache. *)
   Alcotest.(check (option reject)) "not cached" None
     (Option.map ignore
-       (Service.Shard.find (Server.shard h.server)
+       (Service.Shard.find (Server.cache h.server)
           (Req.fingerprint response.Batch.request)));
   let s = Server.stats h.server in
   Alcotest.(check int) "counted partial" 1 s.Server.partials;
@@ -516,45 +517,40 @@ let test_shutdown_flush_warm_restart () =
         (first.Batch.assignment = hit.Batch.assignment);
       Server.finish h2.server)
 
-let test_sharded_transcript_bitwise () =
-  (* The same zipfian stream through an unsharded and a 4-shard server:
-     whole reply transcripts must be byte-identical. Routing is a pure
-     function of the fingerprint and the engine is single-threaded, so
-     partitioning the cache may never change a single reply byte. *)
-  let stream =
-    Service.Workload.lines ~ids:true
-      (Service.Workload.generate
-         {
-           Service.Workload.seed = 4242;
-           requests = 40;
-           skew = 1.1;
-           graphs = List.map (fun n -> (n, graph n)) [ "gA"; "gB"; "gC" ];
-           spes = [ 4; 6 ];
-           strategies = [ bb_strategy ];
-         })
-  in
-  let run shards =
-    let statuses = ref [] in
-    let server =
-      Server.create
-        ~on_reply:(fun (r : Server.reply) -> statuses := r.Server.status :: !statuses)
-        ~load_graph
-        { (config ~bound:64 ()) with Server.cache_shards = shards }
-    in
-    let out = Buffer.create 4096 in
-    List.iter
-      (fun line -> Server.handle_line server ~out:(Buffer.add_string out) line)
-      stream;
-    Server.drain server;
-    Alcotest.(check int)
-      (Printf.sprintf "shards=%d: every request replied" shards)
-      40
-      (List.length !statuses);
-    if List.mem `Rejected !statuses then
-      Alcotest.failf "shards=%d: rejection under an ample bound" shards;
-    Buffer.contents out
-  in
-  Alcotest.(check string) "transcript bitwise at shards 1 vs 4" (run 1) (run 4)
+(* The unlabelled cache gauges track the one locked LRU: after N
+   distinct solves a METRICS scrape reports its exact size. *)
+let test_cache_gauges () =
+  with_metrics (fun () ->
+      let h = harness () in
+      submit h ~id:"g1" "gA" ~attrs:("spes=4 " ^ bb_attrs);
+      submit h ~id:"g2" "gB" ~attrs:("spes=5 " ^ bb_attrs);
+      submit h ~id:"g3" "gC" ~attrs:("spes=4 " ^ bb_attrs);
+      Server.drain h.server;
+      Buffer.clear h.out;
+      feed h "METRICS";
+      let gauge name =
+        let prefix = name ^ " " in
+        match
+          List.find_opt
+            (String.starts_with ~prefix)
+            (String.split_on_char '\n' (output h))
+        with
+        | Some line ->
+            float_of_string
+              (String.sub line (String.length prefix)
+                 (String.length line - String.length prefix))
+        | None -> Alcotest.failf "%s missing from METRICS" name
+      in
+      let cache = Server.cache h.server in
+      Alcotest.(check int) "three distinct solves cached" 3
+        (Service.Shard.length cache);
+      Alcotest.(check (float 0.)) "svc_cache_entries = Shard.length"
+        (float_of_int (Service.Shard.length cache))
+        (gauge "svc_cache_entries");
+      Alcotest.(check (float 0.)) "svc_cache_bytes = Shard.bytes_used"
+        (float_of_int (Service.Shard.bytes_used cache))
+        (gauge "svc_cache_bytes");
+      Server.finish h.server)
 
 let test_verbs_and_metrics () =
   with_metrics (fun () ->
@@ -943,7 +939,7 @@ let test_pool_deadline_partial () =
   Alcotest.(check bool) "feasible incumbent" true response.Batch.feasible;
   Alcotest.(check (option reject)) "never cached" None
     (Option.map ignore
-       (Service.Shard.find (Server.shard h.server)
+       (Service.Shard.find (Server.cache h.server)
           (Req.fingerprint response.Batch.request)));
   let s = Server.stats h.server in
   Alcotest.(check int) "counted partial" 1 s.Server.partials;
@@ -963,43 +959,65 @@ let count_sub sub s =
   in
   go 0 0
 
+(* Serve [input] (raw bytes) in pipe mode through temp files; returns
+   the engine's stats and everything written to the output fd. *)
+let serve_pipe input =
+  let input_path = temp_file ".in" and output_path = temp_file ".out" in
+  Fun.protect ~finally:(fun () -> cleanup [ input_path; output_path ])
+    (fun () ->
+      Out_channel.with_open_bin input_path (fun oc -> output_string oc input);
+      let input = Unix.openfile input_path [ Unix.O_RDONLY ] 0 in
+      let output =
+        Unix.openfile output_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+      in
+      let t =
+        Fun.protect
+          ~finally:(fun () -> Unix.close input; Unix.close output)
+          (fun () ->
+            Server.serve_fd ~load_graph (config ~bound:8 ()) ~input ~output)
+      in
+      (Server.stats t, read_file output_path))
+
 let test_serve_pipe () =
   with_metrics (fun () ->
-      let input_path = temp_file ".in" and output_path = temp_file ".out" in
-      Fun.protect ~finally:(fun () -> cleanup [ input_path; output_path ])
-        (fun () ->
-          let lines =
-            [
-              "PING";
-              Printf.sprintf "gA spes=5 %s id=e1" bb_attrs;
-              Printf.sprintf "gA spes=5 %s id=e2" bb_attrs;  (* dup -> hit *)
-              "broken line=";
-              Printf.sprintf "gC spes=4 %s id=e3" bb_attrs;
-            ]
-          in
-          Out_channel.with_open_bin input_path (fun oc ->
-              List.iter (fun l -> output_string oc (l ^ "\n")) lines);
-          let input = Unix.openfile input_path [ Unix.O_RDONLY ] 0 in
-          let output =
-            Unix.openfile output_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
-          in
-          let t =
-            Fun.protect
-              ~finally:(fun () -> Unix.close input; Unix.close output)
-              (fun () ->
-                Server.serve_fd ~load_graph (config ~bound:8 ()) ~input ~output)
-          in
-          let s = Server.stats t in
-          Alcotest.(check int) "requests" 4 s.Server.received;
-          Alcotest.(check int) "replies" 4 s.Server.replies;
-          Alcotest.(check int) "hit" 1 s.Server.hits;
-          Alcotest.(check int) "solved" 2 s.Server.solved;
-          Alcotest.(check int) "error" 1 s.Server.errors;
-          let out = read_file output_path in
-          Alcotest.(check bool) "pong first" true
-            (String.starts_with ~prefix:"PONG\n" out);
-          Alcotest.(check int) "framed replies" 3 (count_sub "BEGIN e" out);
-          Alcotest.(check int) "error reply" 1 (count_sub "ERROR " out)))
+      let s, out =
+        serve_pipe
+          (String.concat ""
+             (List.map
+                (fun l -> l ^ "\n")
+                [
+                  "PING";
+                  Printf.sprintf "gA spes=5 %s id=e1" bb_attrs;
+                  Printf.sprintf "gA spes=5 %s id=e2" bb_attrs;  (* dup -> hit *)
+                  "broken line=";
+                  Printf.sprintf "gC spes=4 %s id=e3" bb_attrs;
+                ]))
+      in
+      Alcotest.(check int) "requests" 4 s.Server.received;
+      Alcotest.(check int) "replies" 4 s.Server.replies;
+      Alcotest.(check int) "hit" 1 s.Server.hits;
+      Alcotest.(check int) "solved" 2 s.Server.solved;
+      Alcotest.(check int) "error" 1 s.Server.errors;
+      Alcotest.(check bool) "pong first" true
+        (String.starts_with ~prefix:"PONG\n" out);
+      Alcotest.(check int) "framed replies" 3 (count_sub "BEGIN e" out);
+      Alcotest.(check int) "error reply" 1 (count_sub "ERROR " out))
+
+(* A 10 MB line with no newline, then a valid request. *)
+let long_line = String.make 10_000_000 'x'
+
+let test_serve_pipe_long_line () =
+  with_metrics (fun () ->
+      let s, out =
+        serve_pipe
+          (long_line ^ Printf.sprintf "\ngA spes=5 %s id=v1\n" bb_attrs)
+      in
+      Alcotest.(check int) "both lines counted" 2 s.Server.received;
+      Alcotest.(check int) "one malformed" 1 s.Server.errors;
+      Alcotest.(check int) "one solved" 1 s.Server.solved;
+      Alcotest.(check bool) "one ERROR, then the normal reply" true
+        (String.starts_with ~prefix:"ERROR q1 line too long\nBEGIN v1 ok\n" out);
+      Alcotest.(check int) "exactly one ERROR" 1 (count_sub "ERROR " out))
 
 (* Fork a socket server, wait for its socket file (which appears only
    once its signal handlers are installed), run [f ~pid ~path], then
@@ -1079,6 +1097,21 @@ let test_serve_socket_quit () =
   Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
   Alcotest.(check bool) "pong" true (String.starts_with ~prefix:"PONG\n" captured);
   Alcotest.(check int) "one ok frame" 1 (count_sub "BEGIN s1 ok\n" captured)
+
+let test_serve_socket_long_line () =
+  let captured, status =
+    with_socket_server
+      ~stop:(fun ~send ~pid:_ -> send "QUIT\n")
+      (fun ~send ~read_until ->
+        send long_line;
+        send (Printf.sprintf "\ngA spes=4 %s id=v1\n" bb_attrs);
+        read_until (fun s -> count_sub "END v1\n" s = 1))
+  in
+  Alcotest.(check bool) "clean exit" true (status = Unix.WEXITED 0);
+  Alcotest.(check bool) "one ERROR, then the normal reply" true
+    (String.starts_with ~prefix:"ERROR q1 line too long\nBEGIN v1 ok\n"
+       captured);
+  Alcotest.(check int) "exactly one ERROR" 1 (count_sub "ERROR " captured)
 
 let test_serve_socket_sigterm_flush () =
   let cache_path = temp_file ".json" in
@@ -1199,8 +1232,8 @@ let () =
             test_trace_deadline;
           Alcotest.test_case "SLO accounting by priority band" `Quick
             test_slo_metrics;
-          Alcotest.test_case "sharded cache keeps the transcript bitwise"
-            `Quick test_sharded_transcript_bitwise;
+          Alcotest.test_case "cache gauges match the cache" `Quick
+            test_cache_gauges;
           Alcotest.test_case "receipt is stamped before parsing" `Quick
             test_receipt_before_parse;
           Alcotest.test_case "finish and shutdown close the wake pipe" `Quick
@@ -1212,8 +1245,12 @@ let () =
       ( "serve",
         [
           Alcotest.test_case "pipe fds end to end" `Quick test_serve_pipe;
+          Alcotest.test_case "pipe: a 10 MB line gets one ERROR" `Quick
+            test_serve_pipe_long_line;
           Alcotest.test_case "socket: PING/solve/QUIT" `Quick
             test_serve_socket_quit;
+          Alcotest.test_case "socket: a 10 MB line gets one ERROR" `Quick
+            test_serve_socket_long_line;
           Alcotest.test_case "socket: SIGTERM flushes, restart is bitwise"
             `Quick test_serve_socket_sigterm_flush;
           Alcotest.test_case "socket: SIGTERM wakes an idle server" `Quick

@@ -2,7 +2,7 @@
    metamorphic properties, the canonical kernel against its list-based
    reference, cache-hit bitwise equality with fresh solves,
    differential batched-vs-sequential runs, persistence fault
-   recovery, and a 10k-task pool hammer against a 4-way shard. *)
+   recovery, and a 10k-task pool hammer against the locked cache. *)
 
 module P = Cell.Platform
 module G = Streaming.Graph
@@ -18,7 +18,7 @@ module Shard = Service.Shard
 module Batch = Service.Batch
 module Pool = Par.Pool
 
-(* Every batch goes through a shard map, the cache front door. *)
+(* Every batch goes through the locked cache, the serving front door. *)
 let run ?pool cache requests =
   Batch.run_view ?pool ~view:(Shard.view cache) requests
 
@@ -555,7 +555,7 @@ let test_differential_batch () =
       Alcotest.(check int) "hits per run" (!runs * 3) hits)
 
 (* ====================================================================== *)
-(* The cache and batch CLIs over a sharded daemon's cache                 *)
+(* The cache and batch CLIs over a daemon's cache file                    *)
 (* ====================================================================== *)
 
 (* The CLI binary, a declared dependency of this test directory. *)
@@ -578,11 +578,11 @@ let run_cli args =
       let code = Sys.command (Filename.quote_command cli args ~stdout:out ~stderr:err) in
       (code, read_file out, read_file err))
 
-(* A daemon started with --cache-shards 2 flushes FILE.shard0 and
-   FILE.shard1 and no plain FILE. [cache FILE] must list those entries
-   and [batch --cache FILE] must answer the same requests from them,
-   then write them back as the plain FILE. *)
-let test_cli_reads_sharded_cache () =
+(* A daemon flushes its cache to FILE through [Shard.save_files].
+   [cache FILE] must list those entries, [cache FILE --clear] must
+   refuse to overwrite it without --force, and [batch --cache FILE]
+   must answer the same requests from it. *)
+let test_cli_reads_daemon_cache () =
   let dir = Filename.temp_file "cellsched_cli" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
@@ -610,15 +610,12 @@ let test_cli_reads_sharded_cache () =
           lines
       in
       let cache_file = path "c.json" in
-      let daemon_cache = Shard.create ~shards:2 () in
+      let daemon_cache = Shard.create () in
       ignore (run daemon_cache requests);
       (match Shard.save_files daemon_cache cache_file with
       | Ok () -> ()
       | Error m -> Alcotest.fail m);
-      Alcotest.(check (list bool)) "daemon layout: two shard files, no plain file"
-        [ true; true; false ]
-        (List.map Sys.file_exists
-           [ cache_file ^ ".shard0"; cache_file ^ ".shard1"; cache_file ]);
+      let flushed = read_file cache_file in
       let code, listing, _ = run_cli [ "cache"; cache_file ] in
       Alcotest.(check int) "cache exit code" 0 code;
       Alcotest.(check bool) "cache lists both entries" true
@@ -630,8 +627,8 @@ let test_cli_reads_sharded_cache () =
         requests;
       let code, _, _ = run_cli [ "cache"; cache_file; "--clear" ] in
       Alcotest.(check int) "clear without --force refuses" 2 code;
-      Alcotest.(check bool) "shard files untouched" true
-        (Sys.file_exists (cache_file ^ ".shard0"));
+      Alcotest.(check string) "cache file untouched" flushed
+        (read_file cache_file);
       let requests_file = path "requests.txt" in
       Out_channel.with_open_bin requests_file (fun oc ->
           List.iter (fun l -> output_string oc (l ^ "\n")) lines);
@@ -641,12 +638,8 @@ let test_cli_reads_sharded_cache () =
       Alcotest.(check int) "batch exit code" 0 code;
       Alcotest.(check bool) "batch answers every request from cache" true
         (contains "2 request(s), 2 from cache, 0 solved" summary);
-      Alcotest.(check (list bool)) "written back as the plain file"
-        [ false; false; true ]
-        (List.map Sys.file_exists
-           [ cache_file ^ ".shard0"; cache_file ^ ".shard1"; cache_file ]);
-      Alcotest.(check int) "a 2-shard reload sees both entries" 2
-        (Shard.length (Shard.load_files ~shards:2 cache_file)))
+      Alcotest.(check int) "written back with both entries" 2
+        (Shard.length (Shard.load_files cache_file)))
 
 (* ====================================================================== *)
 (* Persistence                                                            *)
@@ -898,17 +891,16 @@ let test_transport_reject_falls_back () =
         (resp.Batch.assignment = M.to_array fresh.Pf.best))
 
 (* ====================================================================== *)
-(* Stress: 10k pool tasks hammer a 4-way shard                            *)
+(* Stress: 10k pool tasks hammer the locked cache                         *)
 (* ====================================================================== *)
 
 (* The one concurrent-budget test of [Shard]: 10 000 probe-or-insert
    operations from a 4-domain pool against 64 fingerprints, so tasks
-   collide on keys and every shard turns its LRU budget over mid-storm,
-   while an out-of-pool domain checks the budgets under each shard's
-   lock. *)
+   collide on keys and the LRU budget turns over mid-storm, while an
+   out-of-pool domain checks the budget under the cache's lock. *)
 let test_shard_hammer () =
-  let shards = 4 in
-  let t = Shard.create ~shards ~max_entries:32 ~max_bytes:16384 () in
+  let max_entries = 32 and max_bytes = 16384 in
+  let t = Shard.create ~max_entries ~max_bytes () in
   let view = Shard.view t in
   let requests = 10_000 in
   let hex = "0123456789abcdef" in
@@ -925,13 +917,8 @@ let test_shard_hammer () =
   let prober =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          for i = 0 to shards - 1 do
-            Shard.For_testing.with_shard t i (fun c ->
-                if
-                  Cache.length c > Cache.max_entries c
-                  || Cache.bytes_used c > Cache.max_bytes c
-                then Atomic.incr violations)
-          done
+          if Shard.length t > max_entries || Shard.bytes_used t > max_bytes
+          then Atomic.incr violations
         done)
   in
   Pool.with_pool ~size:4 (fun p ->
@@ -953,13 +940,8 @@ let test_shard_hammer () =
     (Atomic.get hits > 0 && Atomic.get misses > 0);
   Alcotest.(check int) "no budget violation observed mid-storm" 0
     (Atomic.get violations);
-  Array.iteri
-    (fun i (len, bytes) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d within budget after the storm" i)
-        true
-        (len <= Shard.per_shard_entries t && bytes <= Shard.per_shard_bytes t))
-    (Shard.shard_stats t)
+  Alcotest.(check bool) "within budget after the storm" true
+    (Shard.length t <= max_entries && Shard.bytes_used t <= max_bytes)
 
 (* ====================================================================== *)
 (* Request-file parsing                                                   *)
@@ -1031,8 +1013,8 @@ let () =
             test_differential_batch ] );
       ( "persistence",
         [
-          Alcotest.test_case "cache + batch CLIs read a sharded cache" `Quick
-            test_cli_reads_sharded_cache;
+          Alcotest.test_case "cache + batch CLIs read a daemon's cache file"
+            `Quick test_cli_reads_daemon_cache;
           Alcotest.test_case "save/load round-trip" `Quick
             test_persistence_roundtrip;
           Alcotest.test_case "fault recovery" `Quick test_persistence_faults;
@@ -1051,7 +1033,7 @@ let () =
       ("requests", [ Alcotest.test_case "parse_line" `Quick test_parse_line ]);
       ( "stress",
         [
-          Alcotest.test_case "10k pool tasks vs 4-way shard" `Quick
+          Alcotest.test_case "10k pool tasks vs the locked cache" `Quick
             test_shard_hammer;
         ] );
     ]

@@ -109,8 +109,8 @@ let test_table_escaping () =
   Support.Table.add_row t [ "x,y" ];
   Alcotest.(check string) "escaped" "a\n\"x,y\"" (Support.Table.to_csv t)
 
-(* The published FNV-1a 64 test vectors: cache keys and shard routing
-   both hash through [Fnv.of_string]. *)
+(* The published FNV-1a 64 test vectors: cache keys hash through
+   [Fnv.of_string]. *)
 let test_fnv_vectors () =
   List.iter
     (fun (input, hex) ->

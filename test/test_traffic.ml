@@ -1,20 +1,16 @@
-(* Contention-hammer suite for the fleet-scale traffic layer
-   (lib/service/shard + lib/service/workload).
+(* Contention-hammer suite for the traffic layer (the locked serving
+   cache lib/service/shard + the workload generator lib/service/workload).
 
-   The claims pinned here are the ones the sharded cache is sold on:
+   The claims pinned here:
 
-   (a) replies are bitwise identical to a single cache for the same
-       workload seed, at shard counts 1/2/4/8 and pool sizes 1/2/4;
+   (a) replies are bitwise identical to a sequential batch for the same
+       workload seed at pool sizes 1/2/4;
    (b) hit + miss counters exactly equal the request count even when
-       concurrent domains storm the map with duplicate fingerprints;
-   (c) per-shard LRU budgets are never exceeded, probed mid-hammer
-       through the [Shard.For_testing.with_shard] hook;
-   (d) a flush killed mid-write leaves every shard file loadable, with
-       [svc_cache_recovered_total] accounting for anything lost.
+       concurrent domains storm the cache with duplicate fingerprints;
+   (c) the cache's LRU budget is never exceeded, probed mid-hammer.
 
    Plus the workload generator's own contracts (determinism, zipf
-   concentration, request-line round-trip) and the shard map's
-   persistence migration + stale-file cleanup. *)
+   concentration, request-line round-trip). *)
 
 module G = Streaming.Graph
 module Req = Service.Request
@@ -39,8 +35,8 @@ let random_graph rng n =
     ~costs:Daggen.Generator.default_costs
 
 (* Shared small population: 4 graphs x 2 SPE counts x 1 cheap portfolio
-   strategy = 8 distinct problems, small enough that the full
-   shards-x-pools hammer matrix solves in seconds. *)
+   strategy = 8 distinct problems, small enough that the pools grid
+   solves in seconds. *)
 let graphs =
   let rng = Support.Rng.create 1905 in
   List.map (fun name -> (name, random_graph rng 6)) [ "gA"; "gB"; "gC"; "gD" ]
@@ -58,14 +54,14 @@ let spec ?(seed = 42) ?(requests = 120) ?(skew = 1.1) () =
 let hex = "0123456789abcdef"
 let random_fp rng = String.init 32 (fun _ -> hex.[Support.Rng.int rng 16])
 
-let sample_entry ?(fp = String.make 32 'a') ?(period = 1.25e-3) () =
+let sample_entry fp =
   {
     Cache.fingerprint = fp;
     strategy = "portfolio:seed=1,restarts=2";
     canonical_assignment = [| 0; 1; 2; 1 |];
-    period;
+    period = 1.25e-3;
     feasible = true;
-    throughput = 1. /. period;
+    throughput = 800.;
     bottleneck = "SPE1 interface (in)";
   }
 
@@ -172,59 +168,25 @@ let test_workload_split () =
     parts
 
 (* ====================================================================== *)
-(* Shard routing and budgets                                              *)
+(* Cache bounds                                                           *)
 (* ====================================================================== *)
 
-let test_routing () =
-  let t = Shard.create ~shards:8 () in
-  let rng = Support.Rng.create 99 in
-  let counts = Array.make 8 0 in
-  for _ = 1 to 2000 do
-    let fp = random_fp rng in
-    let i = Shard.shard_of_fingerprint t fp in
-    if i < 0 || i >= 8 then Alcotest.failf "shard %d out of range" i;
-    if i <> Shard.shard_of_fingerprint t fp then
-      Alcotest.fail "routing must be a pure function of the fingerprint";
-    counts.(i) <- counts.(i) + 1
-  done;
-  (* FNV-1a spreads even adversarially-similar keys; demand each shard
-     get at least a quarter of its fair share of 2000 random digests. *)
-  Array.iteri
-    (fun i n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d gets traffic (%d)" i n)
-        true
-        (n > 2000 / 8 / 4))
-    counts
-
-let test_budget_split () =
-  let t = Shard.create ~shards:4 ~max_entries:10 ~max_bytes:4096 () in
-  Alcotest.(check int) "entry budget split (remainder dropped)" 2
-    (Shard.per_shard_entries t);
-  Alcotest.(check int) "byte budget split" 1024 (Shard.per_shard_bytes t);
-  (* Degenerate split still leaves each shard able to hold something. *)
-  let tiny = Shard.create ~shards:8 ~max_entries:4 () in
-  Alcotest.(check int) "per-shard floor of one entry" 1
-    (Shard.per_shard_entries tiny);
+let test_bound_validation () =
   List.iter
-    (fun shards ->
-      match Shard.create ~shards () with
+    (fun (max_entries, max_bytes) ->
+      match Shard.create ~max_entries ~max_bytes () with
       | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "shard count %d must refuse" shards)
-    [ 0; -1; Shard.max_shards + 1 ]
+      | _ -> Alcotest.failf "bounds %d/%d must refuse" max_entries max_bytes)
+    [ (0, 4096); (-1, 4096); (10, 0); (10, -1) ]
 
 (* ====================================================================== *)
-(* (a) Bitwise identity across shard counts and pool sizes                *)
+(* (a) Bitwise identity across pool sizes                                 *)
 (* ====================================================================== *)
 
 let render_all responses = String.concat "\n" (List.map Batch.render responses)
 
-let serve_reference requests =
-  render_all (Batch.run_view ~view:(Shard.view (Shard.create ())) requests)
-
-let serve_sharded ~shards ~pool_size requests =
-  let shard = Shard.create ~shards ~max_entries:256 () in
-  let view = Shard.view shard in
+let serve ~pool_size requests =
+  let view = Shard.view (Shard.create ~max_entries:256 ()) in
   if pool_size = 1 then render_all (Batch.run_view ~view requests)
   else
     let pool = Pool.create ~size:pool_size () in
@@ -233,32 +195,20 @@ let serve_sharded ~shards ~pool_size requests =
       (fun () -> render_all (Batch.run_view ~pool ~view requests))
 
 let test_bitwise_grid () =
-  (* The full published matrix: one zipfian stream, served through a
-     default one-shard map and through every shards x pool combination the
-     issue names. Whole rendered transcripts compare byte-for-byte. *)
+  (* One zipfian stream through a default cache, then through a fresh
+     cache at every pool size. Whole rendered transcripts compare
+     byte-for-byte. *)
   let requests = Array.to_list (Wl.generate (spec ~requests:60 ())) in
-  let reference = serve_reference requests in
+  let reference =
+    render_all (Batch.run_view ~view:(Shard.view (Shard.create ())) requests)
+  in
   List.iter
-    (fun shards ->
-      List.iter
-        (fun pool_size ->
-          Alcotest.(check string)
-            (Printf.sprintf "shards=%d pool=%d" shards pool_size)
-            reference
-            (serve_sharded ~shards ~pool_size requests))
-        [ 1; 2; 4 ])
-    [ 1; 2; 4; 8 ]
-
-let bitwise_random_seeds =
-  QCheck.Test.make ~count:5 ~name:"sharded = single cache (random seeds)"
-    QCheck.(
-      triple (int_bound 10_000) (oneofl [ 1; 2; 4; 8 ]) (oneofl [ 1; 2; 4 ]))
-    (fun (seed, shards, pool_size) ->
-      let requests =
-        Array.to_list (Wl.generate (spec ~seed ~requests:40 ()))
-      in
-      String.equal (serve_reference requests)
-        (serve_sharded ~shards ~pool_size requests))
+    (fun pool_size ->
+      Alcotest.(check string)
+        (Printf.sprintf "pool=%d" pool_size)
+        reference
+        (serve ~pool_size requests))
+    [ 1; 2; 4 ]
 
 (* ====================================================================== *)
 (* (b) Counter conservation under a concurrent duplicate storm            *)
@@ -268,8 +218,7 @@ let test_counter_conservation () =
   with_metrics (fun () ->
       let stream = Wl.generate (spec ~requests:200 ~skew:1.3 ()) in
       let parts = Wl.split ~domains:4 stream in
-      let shard = Shard.create ~shards:4 () in
-      let view = Shard.view shard in
+      let view = Shard.view (Shard.create ()) in
       let req0 = counter_value "svc_requests_total"
       and hit0 = counter_value "svc_hits_total"
       and miss0 = counter_value "svc_misses_total" in
@@ -305,27 +254,22 @@ let test_counter_conservation () =
         responses)
 
 (* ====================================================================== *)
-(* (c) Per-shard budgets hold mid-hammer                                  *)
+(* (c) The budget holds mid-hammer                                        *)
 (* ====================================================================== *)
 
 let test_budget_invariant_mid_hammer () =
-  let shards = 4 in
-  let t = Shard.create ~shards ~max_entries:16 ~max_bytes:8192 () in
+  let max_entries = 16 and max_bytes = 8192 in
+  let t = Shard.create ~max_entries ~max_bytes () in
   let stop = Atomic.make false in
   let violations = Atomic.make 0 in
-  (* A dedicated prober races the writers, snapshotting each shard under
-     its own lock: any moment the LRU bound is breached is caught, not
-     just the post-hammer steady state. *)
+  (* A dedicated prober races the writers, reading the cache's size
+     under its lock: any moment the LRU bound is breached is caught,
+     not just the post-hammer steady state. *)
   let prober =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
-          for i = 0 to shards - 1 do
-            Shard.For_testing.with_shard t i (fun c ->
-                if
-                  Cache.length c > Cache.max_entries c
-                  || Cache.bytes_used c > Cache.max_bytes c
-                then Atomic.incr violations)
-          done
+          if Shard.length t > max_entries || Shard.bytes_used t > max_bytes
+          then Atomic.incr violations
         done)
   in
   let writers =
@@ -334,7 +278,7 @@ let test_budget_invariant_mid_hammer () =
             let rng = Support.Rng.create (1000 + d) in
             for _ = 1 to 3000 do
               let fp = random_fp rng in
-              Shard.add t (sample_entry ~fp ());
+              Shard.add t (sample_entry fp);
               ignore (Shard.find t fp)
             done))
   in
@@ -343,164 +287,10 @@ let test_budget_invariant_mid_hammer () =
   Domain.join prober;
   Alcotest.(check int) "no budget violation observed mid-hammer" 0
     (Atomic.get violations);
-  Array.iteri
-    (fun i (len, bytes) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d within budget after the storm" i)
-        true
-        (len <= Shard.per_shard_entries t && bytes <= Shard.per_shard_bytes t))
-    (Array.to_list (Shard.shard_stats t) |> Array.of_list);
-  Alcotest.(check bool) "map total within the undivided budget" true
-    (Shard.length t <= 16 && Shard.bytes_used t <= 8192)
-
-(* ====================================================================== *)
-(* (d) Crash-mid-flush recovery, migration, stale-file cleanup            *)
-(* ====================================================================== *)
-
-let temp_base () =
-  let path = Filename.temp_file "cellshard" ".json" in
-  Sys.remove path;
-  path
-
-let cleanup path =
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    (path :: Cache.temp_path path
-    :: List.concat_map
-         (fun i ->
-           let s = Printf.sprintf "%s.shard%d" path i in
-           [ s; Cache.temp_path s ])
-         (List.init 16 Fun.id))
-
-let populate t rng n =
-  List.init n (fun i ->
-      let fp = random_fp rng in
-      Shard.add t (sample_entry ~fp ~period:(1e-3 +. (1e-5 *. float_of_int i)) ());
-      fp)
-
-let test_crash_recovery () =
-  with_metrics (fun () ->
-      let path = temp_base () in
-      Fun.protect
-        ~finally:(fun () ->
-          Cache.For_testing.crash_after_bytes := None;
-          cleanup path)
-        (fun () ->
-          let rng = Support.Rng.create 7 in
-          let t = Shard.create ~shards:4 () in
-          let fps = populate t rng 32 in
-          (match Shard.save_files ~force:true t path with
-          | Ok () -> ()
-          | Error m -> Alcotest.failf "baseline save failed: %s" m);
-          let snapshot i =
-            In_channel.with_open_bin
-              (Printf.sprintf "%s.shard%d" path i)
-              In_channel.input_all
-          in
-          let before = List.init 4 snapshot in
-          (* Kill the flush mid-write of the first shard file: the bytes
-             go to a sibling temp file, no rename happens, and the save
-             reports the failure instead of lying. *)
-          ignore (populate t rng 4);
-          Cache.For_testing.crash_after_bytes := Some 25;
-          (match Shard.save_files ~force:true t path with
-          | Ok () -> Alcotest.fail "crashed flush reported success"
-          | Error _ -> ());
-          Cache.For_testing.crash_after_bytes := None;
-          List.iteri
-            (fun i good ->
-              Alcotest.(check string)
-                (Printf.sprintf "shard %d file untouched by the crash" i)
-                good (snapshot i))
-            before;
-          (* Every shard is loadable and the previous complete snapshot
-             comes back whole — no recovery event, nothing was torn. *)
-          let r0 = counter_value "svc_cache_recovered_total" in
-          let back = Shard.load_files ~shards:4 path in
-          Alcotest.(check int) "previous snapshot loads complete" 32
-            (Shard.length back);
-          Alcotest.(check int) "clean files, no recovery event" 0
-            (counter_value "svc_cache_recovered_total" - r0);
-          List.iter
-            (fun fp ->
-              if Shard.find back fp = None then
-                Alcotest.failf "entry %s lost across the crash" fp)
-            fps;
-          (* Now actually corrupt one shard file (a torn disk, not a
-             torn write): that shard recovers to empty and is counted;
-             the other three load untouched. *)
-          let victim = Printf.sprintf "%s.shard2" path in
-          let good = In_channel.with_open_bin victim In_channel.input_all in
-          Out_channel.with_open_bin victim (fun oc ->
-              Out_channel.output_string oc
-                (String.sub good 0 (String.length good / 2)));
-          let lost =
-            List.length
-              (List.filter
-                 (fun fp -> Shard.shard_of_fingerprint t fp = 2)
-                 fps)
-          in
-          let r1 = counter_value "svc_cache_recovered_total" in
-          let after = Shard.load_files ~shards:4 path in
-          Alcotest.(check int) "exactly one recovery event" 1
-            (counter_value "svc_cache_recovered_total" - r1);
-          Alcotest.(check int) "only the corrupt shard's entries lost"
-            (32 - lost) (Shard.length after);
-          Alcotest.(check bool) "something was actually at stake" true
-            (lost > 0)))
-
-let test_migration_and_stale_cleanup () =
-  let path = temp_base () in
-  Fun.protect
-    ~finally:(fun () -> cleanup path)
-    (fun () ->
-      let rng = Support.Rng.create 11 in
-      let t4 = Shard.create ~shards:4 () in
-      let fps = populate t4 rng 20 in
-      (match Shard.save_files ~force:true t4 path with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "save failed: %s" m);
-      let exists i = Sys.file_exists (Printf.sprintf "%s.shard%d" path i) in
-      List.iter
-        (fun i ->
-          Alcotest.(check bool) (Printf.sprintf "shard%d written" i) true
-            (exists i))
-        [ 0; 1; 2; 3 ];
-      (* Shrink 4 -> 2: every entry re-routes by its own fingerprint. *)
-      let t2 = Shard.load_files ~shards:2 path in
-      Alcotest.(check int) "4 files load into 2 shards" 20 (Shard.length t2);
-      List.iter
-        (fun fp ->
-          if Shard.find t2 fp = None then
-            Alcotest.failf "entry %s lost in 4->2 migration" fp)
-        fps;
-      (match Shard.save_files ~force:true t2 path with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "2-shard save failed: %s" m);
-      Alcotest.(check bool) "stale shard2/3 files removed" false
-        (exists 2 || exists 3);
-      (* Collapse to 1: the plain historical filename comes back and no
-         .shardN file survives to shadow it. *)
-      let t1 = Shard.load_files path in
-      Alcotest.(check int) "2 files load into 1 shard" 20 (Shard.length t1);
-      (match Shard.save_files ~force:true t1 path with
-      | Ok () -> ()
-      | Error m -> Alcotest.failf "1-shard save failed: %s" m);
-      Alcotest.(check bool) "plain file written" true (Sys.file_exists path);
-      Alcotest.(check bool) "no shard file shadows it" false
-        (exists 0 || exists 1);
-      (* Legacy single file into a freshly sharded daemon. *)
-      let t8 = Shard.load_files ~shards:8 path in
-      Alcotest.(check int) "legacy file loads into 8 shards" 20
-        (Shard.length t8);
-      List.iter
-        (fun fp ->
-          if Shard.find t8 fp = None then
-            Alcotest.failf "entry %s lost in legacy migration" fp)
-        fps)
+  Alcotest.(check bool) "within budget after the storm" true
+    (Shard.length t <= max_entries && Shard.bytes_used t <= max_bytes)
 
 let () =
-  let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "traffic"
     [
       ( "workload",
@@ -511,28 +301,18 @@ let () =
           Alcotest.test_case "line round-trip" `Quick test_workload_roundtrip;
           Alcotest.test_case "round-robin split" `Quick test_workload_split;
         ] );
-      ( "shard map",
+      ( "bounds validation",
         [
-          Alcotest.test_case "routing: pure, in-range, spread" `Quick
-            test_routing;
-          Alcotest.test_case "budget split + validation" `Quick
-            test_budget_split;
+          Alcotest.test_case "non-positive bounds refuse" `Quick
+            test_bound_validation;
         ] );
       ( "hammer",
         [
-          Alcotest.test_case "bitwise identity: shards x pools grid" `Quick
+          Alcotest.test_case "bitwise identity: pools grid" `Quick
             test_bitwise_grid;
-          qt bitwise_random_seeds;
           Alcotest.test_case "counter conservation under duplicate storm"
             `Quick test_counter_conservation;
-          Alcotest.test_case "per-shard budgets hold mid-hammer" `Quick
+          Alcotest.test_case "cache budget holds mid-hammer" `Quick
             test_budget_invariant_mid_hammer;
-        ] );
-      ( "crash + migration",
-        [
-          Alcotest.test_case "kill mid-flush leaves every shard loadable"
-            `Quick test_crash_recovery;
-          Alcotest.test_case "shard-count migration + stale cleanup" `Quick
-            test_migration_and_stale_cleanup;
         ] );
     ]
