@@ -766,6 +766,29 @@ let search_obs platform =
   Obs.Metrics.set_enabled false;
   print_endline "wrote BENCH_obs.json"
 
+(* Probes of one engine local search, and how many of them the filtered
+   probe could not decide without the exact sweep: one metrics-on rerun,
+   outside the timed ones. *)
+let local_search_probes platform g start =
+  let counter name =
+    List.find_map
+      (fun (f : Obs.Metrics.family_snapshot) ->
+        match f.Obs.Metrics.samples with
+        | [ (_, Obs.Metrics.Counter_v v) ] when f.Obs.Metrics.name = name ->
+            Some v
+        | _ -> None)
+      (Obs.Metrics.snapshot Obs.Metrics.default)
+    |> Option.value ~default:0
+  in
+  Obs.Metrics.reset Obs.Metrics.default;
+  Obs.Metrics.set_enabled true;
+  ignore (H.local_search platform g start);
+  Obs.Metrics.set_enabled false;
+  let probes = counter "search_eval_probes_total" in
+  let exact = counter "search_eval_probes_exact_total" in
+  Obs.Metrics.reset Obs.Metrics.default;
+  (probes, exact)
+
 let search () =
   print_endline "== Search micro-benchmark: incremental engine vs scratch ==";
   print_endline
@@ -776,7 +799,10 @@ let search () =
   let module Search = Cellsched.Mapping_search in
   let table =
     Support.Table.create
-      [ "graph"; "tasks"; "scratch ls"; "engine ls"; "speedup"; "same"; "b&b nodes"; "b&b time" ]
+      [
+        "graph"; "tasks"; "scratch ls"; "engine ls"; "speedup"; "same";
+        "exact probes"; "b&b nodes"; "b&b time";
+      ]
   in
   let json_rows = ref [] in
   let ok_94 = ref true in
@@ -802,6 +828,10 @@ let search () =
         && period m_scratch = period m_engine
       in
       let speedup = if t_engine > 0. then t_scratch /. t_engine else infinity in
+      let probes, exact = local_search_probes platform g start in
+      let exact_share =
+        if probes > 0 then float_of_int exact /. float_of_int probes else 0.
+      in
       if G.n_tasks g >= 90 && (speedup < 2. || not same) then ok_94 := false;
       let bb_options = { Search.default_options with time_limit = 10. } in
       let r, t_bb =
@@ -815,6 +845,7 @@ let search () =
           Printf.sprintf "%.3f s" t_engine;
           Printf.sprintf "%.1fx" speedup;
           (if same then "yes" else "NO");
+          Printf.sprintf "%d/%d (%.1f%%)" exact probes (100. *. exact_share);
           string_of_int r.Search.nodes;
           Printf.sprintf "%.3f s" t_bb;
         ];
@@ -823,9 +854,11 @@ let search () =
           "    { \"graph\": %S, \"tasks\": %d, \"scratch_local_search_s\": %.6f,\n\
           \      \"engine_local_search_s\": %.6f, \"speedup\": %.3f,\n\
           \      \"same_mapping\": %b, \"period_s\": %.9g,\n\
+          \      \"ls_probes\": %d, \"ls_exact_probes\": %d, \"exact_share\": %.4f,\n\
           \      \"bb_nodes\": %d, \"bb_time_s\": %.6f, \"bb_period_s\": %.9g }"
           name (G.n_tasks g) t_scratch t_engine speedup same
-          (period m_engine) r.Search.nodes t_bb r.Search.period
+          (period m_engine) probes exact exact_share r.Search.nodes t_bb
+          r.Search.period
         :: !json_rows)
     (graphs ());
   Support.Table.print table;

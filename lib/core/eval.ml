@@ -16,6 +16,11 @@ let m_probes =
   Obs.Metrics.counter ~help:"Eval probe_move/probe_swap evaluations"
        "search_eval_probes_total"
 
+let m_probes_exact =
+  Obs.Metrics.counter
+    ~help:"Filtered probes the cheap steps could not decide (exact sweep)"
+    "search_eval_probes_exact_total"
+
 let m_moves =
   Obs.Metrics.counter ~help:"Journaled apply_move mutations"
        "search_eval_moves_total"
@@ -36,6 +41,29 @@ let m_sweeps =
    reverse the mutation. *)
 type op = Move of int * int  (* task, previous PE *) | Swap of int * int
 
+(* The four float rows of every PE. *)
+type rows = {
+  compute : float array;
+  bytes_in : float array;
+  bytes_out : float array;
+  memory : float array;
+}
+
+let make_rows n =
+  {
+    compute = Array.make n 0.;
+    bytes_in = Array.make n 0.;
+    bytes_out = Array.make n 0.;
+    memory = Array.make n 0.;
+  }
+
+let blit_rows src dst =
+  let n = Array.length src.compute in
+  Array.blit src.compute 0 dst.compute 0 n;
+  Array.blit src.bytes_in 0 dst.bytes_in 0 n;
+  Array.blit src.bytes_out 0 dst.bytes_out 0 n;
+  Array.blit src.memory 0 dst.memory 0 n
+
 type t = {
   platform : P.t;
   g : G.t;
@@ -47,10 +75,7 @@ type t = {
      in the same order: that recomputation — never an incremental
      add/subtract, which drifts — is what makes every accessor bitwise
      equal to a from-scratch evaluation. *)
-  compute : float array;
-  bytes_in : float array;
-  bytes_out : float array;
-  memory : float array;
+  rows : rows;
   row_dirty : bool array;  (* the four float rows of a PE, together *)
   dma_in : int array;  (* integer counters: maintained incrementally *)
   dma_to_ppe : int array;
@@ -60,17 +85,21 @@ type t = {
   buff : float array;  (* per-edge buffer bytes *)
   mutable buff_dirty : bool;  (* only under [tight_pipeline] *)
   mutable journal : op list;
-  (* Preallocated scratch for the probe fast path: a probe saves the
+  (* Preallocated scratch for the exact probe: a probe saves the
      validated float state, mutates, evaluates, reverses the integer
      state and blits the floats back — a bitwise restoration with no
      recomputation on the undo side. *)
-  save_compute : float array;
-  save_bytes_in : float array;
-  save_bytes_out : float array;
-  save_memory : float array;
+  saved : rows;
   save_link_out : float array;
   save_link_in : float array;
   save_buff : float array;
+  (* Scratch for the filtered probes: the terms the moved tasks add to
+     the two touched rows before and after the move, and the row
+     selector that restricts the accumulation to those rows. *)
+  before : rows;
+  after : rows;
+  probe_rows : bool array;
+  slack : float;  (* relative error bound of a row sum, see [lower_bound] *)
 }
 
 let options t = t.opts
@@ -120,6 +149,40 @@ let flush_buffers t =
     t.buff_dirty <- false
   end
 
+(* --- the model: what a task or an edge adds to the rows -------------- *)
+
+(* Task [k]'s own terms on PE [pe]: its work (PPE speedup applied) and
+   its read/write traffic. *)
+let add_task t (r : rows) k pe =
+  let p = t.platform in
+  let task = G.task t.g k in
+  let w = Streaming.Task.w task (P.pe_class p pe) in
+  let w = if P.is_ppe p pe then w /. p.P.ppe_speedup else w in
+  r.compute.(pe) <- r.compute.(pe) +. w;
+  r.bytes_in.(pe) <- r.bytes_in.(pe) +. task.Streaming.Task.read_bytes;
+  r.bytes_out.(pe) <- r.bytes_out.(pe) +. task.Streaming.Task.write_bytes
+
+(* Edge [e]'s terms on the rows flagged in [sel], under the current
+   assignment: the remote traffic when both endpoints are assigned to
+   different PEs, and the buffer copies. Each assigned endpoint holds its
+   buffer copy — also for half-assigned edges — except one copy total
+   when colocated under buffer sharing. *)
+let add_edge t (r : rows) sel e =
+  let edge = G.edge t.g e in
+  let sp = t.assignment.(edge.G.src) and dp = t.assignment.(edge.G.dst) in
+  let active = sp >= 0 && dp >= 0 in
+  if active && sp <> dp then begin
+    if sel.(sp) then r.bytes_out.(sp) <- r.bytes_out.(sp) +. edge.G.data_bytes;
+    if sel.(dp) then r.bytes_in.(dp) <- r.bytes_in.(dp) +. edge.G.data_bytes
+  end;
+  if active && sp = dp && t.opts.share_colocated_buffers then begin
+    if sel.(sp) then r.memory.(sp) <- r.memory.(sp) +. t.buff.(e)
+  end
+  else begin
+    if sp >= 0 && sel.(sp) then r.memory.(sp) <- r.memory.(sp) +. t.buff.(e);
+    if dp >= 0 && sel.(dp) then r.memory.(dp) <- r.memory.(dp) +. t.buff.(e)
+  end
+
 (* --- canonical row recomputation ------------------------------------ *)
 
 (* Rebuild every dirty PE's four float rows in one batched pass with the
@@ -130,8 +193,8 @@ let flush_buffers t =
    evaluation — holds by construction, and a probe touching several rows
    pays one O(tasks + edges) sweep, not one per row. *)
 let recompute_dirty_rows t =
-  let g = t.g and p = t.platform in
-  let n = P.n_pes p in
+  let g = t.g and r = t.rows in
+  let n = P.n_pes t.platform in
   if Obs.Metrics.enabled () then begin
     Obs.Metrics.Counter.inc m_sweeps;
     let dirty = ref 0 in
@@ -142,45 +205,18 @@ let recompute_dirty_rows t =
   end;
   for pe = 0 to n - 1 do
     if t.row_dirty.(pe) then begin
-      t.compute.(pe) <- 0.;
-      t.bytes_in.(pe) <- 0.;
-      t.bytes_out.(pe) <- 0.;
-      t.memory.(pe) <- 0.
+      r.compute.(pe) <- 0.;
+      r.bytes_in.(pe) <- 0.;
+      r.bytes_out.(pe) <- 0.;
+      r.memory.(pe) <- 0.
     end
   done;
   for k = 0 to G.n_tasks g - 1 do
     let pe = t.assignment.(k) in
-    if pe >= 0 && t.row_dirty.(pe) then begin
-      let task = G.task g k in
-      let w = Streaming.Task.w task (P.pe_class p pe) in
-      let w = if P.is_ppe p pe then w /. p.P.ppe_speedup else w in
-      t.compute.(pe) <- t.compute.(pe) +. w;
-      t.bytes_in.(pe) <- t.bytes_in.(pe) +. task.Streaming.Task.read_bytes;
-      t.bytes_out.(pe) <- t.bytes_out.(pe) +. task.Streaming.Task.write_bytes
-    end
+    if pe >= 0 && t.row_dirty.(pe) then add_task t r k pe
   done;
   for e = 0 to G.n_edges g - 1 do
-    let edge = G.edge g e in
-    let sp = t.assignment.(edge.G.src) and dp = t.assignment.(edge.G.dst) in
-    let active = sp >= 0 && dp >= 0 in
-    if active && sp <> dp then begin
-      if t.row_dirty.(sp) then
-        t.bytes_out.(sp) <- t.bytes_out.(sp) +. edge.G.data_bytes;
-      if t.row_dirty.(dp) then
-        t.bytes_in.(dp) <- t.bytes_in.(dp) +. edge.G.data_bytes
-    end;
-    (* Memory: each assigned endpoint holds its buffer copy — also for
-       half-assigned edges — except one copy total when colocated under
-       buffer sharing. *)
-    if active && sp = dp && t.opts.share_colocated_buffers then begin
-      if t.row_dirty.(sp) then t.memory.(sp) <- t.memory.(sp) +. t.buff.(e)
-    end
-    else begin
-      if sp >= 0 && t.row_dirty.(sp) then
-        t.memory.(sp) <- t.memory.(sp) +. t.buff.(e);
-      if dp >= 0 && t.row_dirty.(dp) then
-        t.memory.(dp) <- t.memory.(dp) +. t.buff.(e)
-    end
+    add_edge t r t.row_dirty e
   done;
   Array.fill t.row_dirty 0 n false
 
@@ -296,36 +332,32 @@ let attach t k pe =
 let create_empty ?(options = default_options) platform g =
   let n = P.n_pes platform in
   let m = G.n_edges g in
-  let t =
-    {
-      platform;
-      g;
-      opts = options;
-      assignment = Array.make (G.n_tasks g) (-1);
-      n_assigned = 0;
-      compute = Array.make n 0.;
-      bytes_in = Array.make n 0.;
-      bytes_out = Array.make n 0.;
-      memory = Array.make n 0.;
-      row_dirty = Array.make n false;
-      dma_in = Array.make n 0;
-      dma_to_ppe = Array.make n 0;
-      link_out = Array.make platform.P.n_cells 0.;
-      link_in = Array.make platform.P.n_cells 0.;
-      links_dirty = false;
-      buff = Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
-      buff_dirty = false;
-      journal = [];
-      save_compute = Array.make n 0.;
-      save_bytes_in = Array.make n 0.;
-      save_bytes_out = Array.make n 0.;
-      save_memory = Array.make n 0.;
-      save_link_out = Array.make platform.P.n_cells 0.;
-      save_link_in = Array.make platform.P.n_cells 0.;
-      save_buff = Array.make m 0.;
-    }
-  in
-  t
+  {
+    platform;
+    g;
+    opts = options;
+    assignment = Array.make (G.n_tasks g) (-1);
+    n_assigned = 0;
+    rows = make_rows n;
+    row_dirty = Array.make n false;
+    dma_in = Array.make n 0;
+    dma_to_ppe = Array.make n 0;
+    link_out = Array.make platform.P.n_cells 0.;
+    link_in = Array.make platform.P.n_cells 0.;
+    links_dirty = false;
+    buff = Steady_state.buffer_sizes ~first_periods:(Steady_state.first_periods g) g;
+    buff_dirty = false;
+    journal = [];
+    saved = make_rows n;
+    save_link_out = Array.make platform.P.n_cells 0.;
+    save_link_in = Array.make platform.P.n_cells 0.;
+    save_buff = Array.make m 0.;
+    before = make_rows n;
+    after = make_rows n;
+    probe_rows = Array.make n false;
+    slack =
+      float_of_int ((2 * (G.n_tasks g + (2 * m))) + 16) *. epsilon_float;
+  }
 
 let check_pe t pe =
   if pe < 0 || pe >= P.n_pes t.platform then
@@ -349,10 +381,10 @@ let create ?options platform g m =
 
 (* --- accessors ------------------------------------------------------- *)
 
-let compute_on t pe = validate_rows t; t.compute.(pe)
-let memory_on t pe = validate_rows t; t.memory.(pe)
-let bytes_in_on t pe = validate_rows t; t.bytes_in.(pe)
-let bytes_out_on t pe = validate_rows t; t.bytes_out.(pe)
+let compute_on t pe = validate_rows t; t.rows.compute.(pe)
+let memory_on t pe = validate_rows t; t.rows.memory.(pe)
+let bytes_in_on t pe = validate_rows t; t.rows.bytes_in.(pe)
+let bytes_out_on t pe = validate_rows t; t.rows.bytes_out.(pe)
 let dma_in_on t pe = t.dma_in.(pe)
 let dma_to_ppe_on t pe = t.dma_to_ppe.(pe)
 
@@ -390,10 +422,10 @@ let mapping t =
    [validate_all] and never exposed to callers. *)
 let internal_loads t =
   {
-    Steady_state.compute = t.compute;
-    bytes_in = t.bytes_in;
-    bytes_out = t.bytes_out;
-    memory = t.memory;
+    Steady_state.compute = t.rows.compute;
+    bytes_in = t.rows.bytes_in;
+    bytes_out = t.rows.bytes_out;
+    memory = t.rows.memory;
     dma_in = t.dma_in;
     dma_to_ppe = t.dma_to_ppe;
     link_out = t.link_out;
@@ -403,10 +435,10 @@ let internal_loads t =
 let loads t =
   validate_all t;
   {
-    Steady_state.compute = Array.copy t.compute;
-    bytes_in = Array.copy t.bytes_in;
-    bytes_out = Array.copy t.bytes_out;
-    memory = Array.copy t.memory;
+    Steady_state.compute = Array.copy t.rows.compute;
+    bytes_in = Array.copy t.rows.bytes_in;
+    bytes_out = Array.copy t.rows.bytes_out;
+    memory = Array.copy t.rows.memory;
     dma_in = Array.copy t.dma_in;
     dma_to_ppe = Array.copy t.dma_to_ppe;
     link_out = Array.copy t.link_out;
@@ -435,7 +467,7 @@ let feasible t =
   while !ok && !pe < n do
     if P.is_spe p !pe then
       if
-        t.memory.(!pe) > budget
+        t.rows.memory.(!pe) > budget
         || t.dma_in.(!pe) > p.P.max_dma_in
         || t.dma_to_ppe.(!pe) > p.P.max_dma_to_ppe
       then ok := false;
@@ -479,18 +511,14 @@ let undo t =
       attach t k1 p2;
       attach t k2 p1
 
-(* Probe fast path: snapshot the fully validated float state, mutate,
-   evaluate, reverse the integer state with the mirror detach/attach
-   (exact: integer arithmetic and set operations invert perfectly), and
-   blit the floats back — the restored state is bitwise the pre-probe
-   one, with no recomputation spent on the way back. *)
+(* Exact probe: snapshot the validated float state, mutate, evaluate,
+   reverse the integer state with the mirror detach/attach (exact:
+   integer arithmetic and set operations invert perfectly), and blit the
+   floats back — the restored state is bitwise the pre-probe one, with
+   no recomputation spent on the way back. [save_floats] copies without
+   validating: the caller validates before it mutates. *)
 let save_floats t =
-  validate_all t;
-  let n = Array.length t.compute in
-  Array.blit t.compute 0 t.save_compute 0 n;
-  Array.blit t.bytes_in 0 t.save_bytes_in 0 n;
-  Array.blit t.bytes_out 0 t.save_bytes_out 0 n;
-  Array.blit t.memory 0 t.save_memory 0 n;
+  blit_rows t.rows t.saved;
   let c = Array.length t.link_out in
   Array.blit t.link_out 0 t.save_link_out 0 c;
   Array.blit t.link_in 0 t.save_link_in 0 c;
@@ -498,12 +526,8 @@ let save_floats t =
     Array.blit t.buff 0 t.save_buff 0 (Array.length t.buff)
 
 let restore_floats t =
-  let n = Array.length t.compute in
-  Array.blit t.save_compute 0 t.compute 0 n;
-  Array.blit t.save_bytes_in 0 t.bytes_in 0 n;
-  Array.blit t.save_bytes_out 0 t.bytes_out 0 n;
-  Array.blit t.save_memory 0 t.memory 0 n;
-  Array.fill t.row_dirty 0 n false;
+  blit_rows t.saved t.rows;
+  Array.fill t.row_dirty 0 (Array.length t.row_dirty) false;
   let c = Array.length t.link_out in
   Array.blit t.save_link_out 0 t.link_out 0 c;
   Array.blit t.save_link_in 0 t.link_in 0 c;
@@ -518,6 +542,7 @@ let probe_move t ~task ~pe =
   let old_pe = t.assignment.(task) in
   if old_pe < 0 then invalid_arg "Eval.probe_move: task not assigned";
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
+  validate_all t;
   save_floats t;
   detach t task;
   attach t task pe;
@@ -532,6 +557,7 @@ let probe_swap t k1 k2 =
   let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
   if p1 < 0 || p2 < 0 then invalid_arg "Eval.probe_swap: task not assigned";
   if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
+  validate_all t;
   save_floats t;
   detach t k1;
   detach t k2;
@@ -546,10 +572,179 @@ let probe_swap t k1 k2 =
   restore_floats t;
   (p, f)
 
-let delta_period_of_move t ~task ~pe =
-  let base = period t in
-  let candidate, _ = probe_move t ~task ~pe in
-  candidate -. base
+(* --- filtered probes ---------------------------------------------------
+
+   The decision ladder is documented on [probe_move_below] in the
+   interface. Steps 1–3 never write the float rows, so reverting the
+   integer state and clearing the dirty flags ([settle]) restores the
+   validated pre-probe state whichever step decided. *)
+
+(* Lower bound on the canonical float value of a row after the probe,
+   from its canonical value [v] before it and the float sums [before]
+   and [after] of the terms the moved tasks and their edges add to the
+   row before and after. Over the reals, the new row's exact sum is the
+   old exact sum minus the exact before-sum plus the exact after-sum, as
+   every other term is unchanged. Each float sum — [v], [before],
+   [after] and the new canonical value — is within gamma_N = N u /
+   (1 - N u) (u = epsilon_float / 2) of its exact sum, relative to it,
+   for N <= tasks + 2 edges terms, because every term is finite and
+   >= 0 (enforced by [Streaming.Task.make], [Graph.add_edge] and the
+   graph-file parser). The four errors and the rounding of this
+   expression together stay under [slack (v + before + after)] with
+   [slack = (2 (tasks + 2 edges) + 16) epsilon_float]. Division by the
+   positive bandwidth is monotone, so the bound carries over to the
+   interface terms of the period. *)
+let lower_bound slack v before after =
+  v -. before +. after -. (slack *. (v +. before +. after))
+
+(* Step 1: the largest period term that a move or swap between [a] and
+   [b] leaves bitwise unchanged, stopping once it reaches [cutoff]. The
+   link rows are unchanged only when [a] and [b] share a Cell. *)
+let untouched_reaches t a b ~cutoff =
+  let p = t.platform and r = t.rows in
+  let reaches = ref false in
+  let pe = ref 0 and n = P.n_pes p in
+  while (not !reaches) && !pe < n do
+    let q = !pe in
+    if q <> a && q <> b then
+      reaches :=
+        r.compute.(q) >= cutoff
+        || r.bytes_in.(q) /. p.P.bw >= cutoff
+        || r.bytes_out.(q) /. p.P.bw >= cutoff;
+    incr pe
+  done;
+  if (not !reaches) && P.cell_of p a = P.cell_of p b then
+    for c = 0 to p.P.n_cells - 1 do
+      if
+        t.link_out.(c) /. p.P.inter_cell_bw >= cutoff
+        || t.link_in.(c) /. p.P.inter_cell_bw >= cutoff
+      then reaches := true
+    done;
+  !reaches
+
+(* Add to [r] what the moved tasks [k1] and [k2] ([k2 = -1] for a move)
+   and their incident edges contribute to the rows flagged in
+   [probe_rows], under the current assignment. The edge between the two
+   tasks of a swap is counted once. *)
+let add_moved t r k1 k2 =
+  let add k ~skip =
+    add_task t r k t.assignment.(k);
+    List.iter
+      (fun e -> if (G.edge t.g e).G.src <> skip then add_edge t r t.probe_rows e)
+      (G.in_edges t.g k);
+    List.iter
+      (fun e -> if (G.edge t.g e).G.dst <> skip then add_edge t r t.probe_rows e)
+      (G.out_edges t.g k)
+  in
+  add k1 ~skip:(-1);
+  if k2 >= 0 then add k2 ~skip:k1
+
+let clear_row r pe =
+  r.compute.(pe) <- 0.;
+  r.bytes_in.(pe) <- 0.;
+  r.bytes_out.(pe) <- 0.;
+  r.memory.(pe) <- 0.
+
+(* Select rows [a]/[b] and accumulate the before-terms. *)
+let gather_before t a b k1 k2 =
+  t.probe_rows.(a) <- true;
+  t.probe_rows.(b) <- true;
+  clear_row t.before a;
+  clear_row t.before b;
+  clear_row t.after a;
+  clear_row t.after b;
+  add_moved t t.before k1 k2
+
+let dma_over t =
+  let p = t.platform in
+  let over = ref false in
+  for pe = 0 to P.n_pes p - 1 do
+    if
+      P.is_spe p pe
+      && (t.dma_in.(pe) > p.P.max_dma_in
+         || t.dma_to_ppe.(pe) > p.P.max_dma_to_ppe)
+    then over := true
+  done;
+  !over
+
+(* Step 3 for one touched row. *)
+let row_rejects t pe ~cutoff =
+  let p = t.platform and s = t.slack in
+  let v = t.rows and b = t.before and a = t.after in
+  lower_bound s v.compute.(pe) b.compute.(pe) a.compute.(pe) >= cutoff
+  || lower_bound s v.bytes_in.(pe) b.bytes_in.(pe) a.bytes_in.(pe) /. p.P.bw
+     >= cutoff
+  || lower_bound s v.bytes_out.(pe) b.bytes_out.(pe) a.bytes_out.(pe) /. p.P.bw
+     >= cutoff
+  || P.is_spe p pe
+     && lower_bound s v.memory.(pe) b.memory.(pe) a.memory.(pe)
+        > float_of_int (P.spe_memory_budget p)
+
+(* Step 4: the exact answer on the mutated state; the floats come back
+   to their pre-probe values. *)
+let exact_below t ~cutoff =
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes_exact;
+  save_floats t;
+  let p = period t in
+  let f = feasible t in
+  restore_floats t;
+  if f && p < cutoff then Some p else None
+
+(* Steps 2–4 on the mutated state. *)
+let decide_mutated t a b k1 k2 ~cutoff =
+  if t.links_dirty || t.buff_dirty then exact_below t ~cutoff
+  else if dma_over t then None
+  else begin
+    add_moved t t.after k1 k2;
+    if row_rejects t a ~cutoff || row_rejects t b ~cutoff then None
+    else exact_below t ~cutoff
+  end
+
+let settle t a b =
+  Array.fill t.row_dirty 0 (Array.length t.row_dirty) false;
+  t.links_dirty <- false;
+  t.buff_dirty <- false;
+  t.probe_rows.(a) <- false;
+  t.probe_rows.(b) <- false
+
+let probe_move_below t ~task ~pe ~cutoff =
+  check_pe t pe;
+  let old_pe = t.assignment.(task) in
+  if old_pe < 0 then invalid_arg "Eval.probe_move_below: task not assigned";
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
+  validate_all t;
+  if untouched_reaches t old_pe pe ~cutoff then None
+  else begin
+    gather_before t old_pe pe task (-1);
+    detach t task;
+    attach t task pe;
+    let r = decide_mutated t old_pe pe task (-1) ~cutoff in
+    detach t task;
+    attach t task old_pe;
+    settle t old_pe pe;
+    r
+  end
+
+let probe_swap_below t k1 k2 ~cutoff =
+  let p1 = t.assignment.(k1) and p2 = t.assignment.(k2) in
+  if p1 < 0 || p2 < 0 then invalid_arg "Eval.probe_swap_below: task not assigned";
+  if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc m_probes;
+  validate_all t;
+  if untouched_reaches t p1 p2 ~cutoff then None
+  else begin
+    gather_before t p1 p2 k1 k2;
+    detach t k1;
+    detach t k2;
+    attach t k1 p2;
+    attach t k2 p1;
+    let r = decide_mutated t p1 p2 k1 k2 ~cutoff in
+    detach t k1;
+    detach t k2;
+    attach t k1 p1;
+    attach t k2 p2;
+    settle t p1 p2;
+    r
+  end
 
 (* --- scratch wrappers ------------------------------------------------ *)
 

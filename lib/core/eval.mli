@@ -5,10 +5,12 @@
     search, the {!Mapping_search} branch and bound, {!Replication} and the
     resilience controller's remap loop — needs the same three questions
     answered for a stream of closely related candidates: what is the
-    period, what is the bottleneck, is the mapping feasible. Recomputing
-    {!Steady_state.loads} from scratch costs O(tasks + edges) per
-    candidate; this engine materializes the full resource state once and
-    maintains it under task moves in O(degree(task)) amortized work.
+    period, what is the bottleneck, is the mapping feasible. This engine
+    materializes the full resource state once; a mutation costs
+    O(degree(task)) and marks the touched rows dirty, and the next read
+    revalidates them in one O(tasks + edges) sweep (see {b Exactness}).
+    The filtered probes ({!probe_move_below}, {!probe_swap_below}) decide
+    most local-search candidates without that sweep.
 
     {b Exactness.} The engine does not keep running float sums (which
     drift under add/subtract cycles). Each per-PE resource row is cached
@@ -16,10 +18,16 @@
     contributions {!Steady_state.loads} would accumulate for that PE, in
     the same order — so every accessor returns values {e bitwise equal} to
     a from-scratch [Steady_state] evaluation of the same assignment, for
-    every combination of {!options}. Mutations only mark the O(degree)
-    affected rows dirty; accessors validate lazily. DMA-queue counters are
-    integers and are maintained incrementally (integer arithmetic is
-    exact).
+    every combination of {!options}. Keeping the canonical order means
+    walking every task and edge once per revalidation, however few rows
+    are dirty. DMA-queue counters are integers and are maintained
+    incrementally (integer arithmetic is exact).
+
+    {b Preconditions.} Task costs, traffic and edge sizes are finite and
+    non-negative; the filtered probes' error bound relies on it.
+    {!Streaming.Task.make} enforces it for tasks,
+    {!Streaming.Graph.add_edge} rejects negative edge sizes, and the
+    graph-file parser non-finite ones.
 
     {b Partial mappings.} Tasks may be unassigned (PE [-1]); an edge
     contributes to communication, DMA and memory accounting only through
@@ -161,14 +169,39 @@ val undo_depth : t -> int
 
 val probe_move : t -> task:int -> pe:int -> float * bool
 (** Period and feasibility the state would have after
-    [apply_move ~task ~pe]; the state is left untouched. *)
+    [apply_move ~task ~pe]; the state is left untouched. One
+    O(tasks + edges) revalidation sweep. *)
 
 val probe_swap : t -> int -> int -> float * bool
 (** Same for {!apply_swap}. *)
 
-val delta_period_of_move : t -> task:int -> pe:int -> float
-(** [fst (probe_move t ~task ~pe) -. period t]: negative when the move
-    improves the period. *)
+val probe_move_below : t -> task:int -> pe:int -> cutoff:float -> float option
+(** [Some p] iff {!probe_move} would return [(p, true)] with [p < cutoff],
+    and [p] is then bitwise that period; [None] otherwise. The state is
+    left untouched (bitwise, journal included).
+
+    A move or swap between PEs [a] and [b] changes the float rows of [a]
+    and [b] only, so most probes are decided without a sweep, cheapest
+    step first:
+    + the largest period term over the other rows (and the inter-Cell
+      links when [a] and [b] share a Cell) already reaches [cutoff];
+    + after the mutation, an SPE exceeds a DMA limit (exact integers);
+    + a lower bound on each new [a]/[b] row value,
+      [v - before + after - eps (v + before + after)] with
+      [eps = (2 (tasks + 2 edges) + 16) epsilon_float], reaches [cutoff]
+      or an SPE's memory budget. [before]/[after] sum what the moved
+      tasks and their edges add to the row before/after the move; the
+      bound holds because every term is finite and non-negative, so each
+      float sum is within [N epsilon_float / 2] (to first order) of its
+      exact value relative to it, for at most [N = tasks + 2 edges]
+      terms;
+    + otherwise the exact evaluation of {!probe_move}.
+    Steps 2–3 are skipped (straight to the exact step) when the mutation
+    touches a cross-Cell edge or, under [tight_pipeline], changes an
+    edge's colocation: those reach beyond rows [a]/[b]. *)
+
+val probe_swap_below : t -> int -> int -> cutoff:float -> float option
+(** Same for {!apply_swap}. *)
 
 (** {1 Scratch wrappers}
 

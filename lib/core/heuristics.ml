@@ -225,18 +225,21 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
     improved := false;
     incr passes;
     if obs then Obs.Metrics.Counter.inc m_ls_passes;
-    (* Single-task moves, probed through the engine in O(degree) each. *)
+    (* Single-task moves. A filtered probe answers exactly "feasible and
+       below the cutoff?", paying for the exact period only when it could
+       be. *)
     for k = 0 to G.n_tasks g - 1 do
       let home = Eval.pe_of ev k in
       let best_move = ref None in
       for pe = 0 to n - 1 do
-        if pe <> home then begin
-          let t, feas = Eval.probe_move ev ~task:k ~pe in
-          if feas && t < !best_period -. 1e-12 then begin
-            best_period := t;
-            best_move := Some pe
-          end
-        end
+        if pe <> home then
+          match
+            Eval.probe_move_below ev ~task:k ~pe ~cutoff:(!best_period -. 1e-12)
+          with
+          | Some t ->
+              best_period := t;
+              best_move := Some pe
+          | None -> ()
       done;
       match !best_move with
       | Some pe ->
@@ -249,15 +252,16 @@ let local_search ?(options = Eval.default_options) ?(max_passes = 50) platform g
        single move is feasible but exchanging tasks is. *)
     for k1 = 0 to G.n_tasks g - 1 do
       for k2 = k1 + 1 to G.n_tasks g - 1 do
-        if Eval.pe_of ev k1 <> Eval.pe_of ev k2 then begin
-          let t, feas = Eval.probe_swap ev k1 k2 in
-          if feas && t < !best_period -. 1e-12 then begin
-            best_period := t;
-            improved := true;
-            if obs then Obs.Metrics.Counter.inc m_ls_swaps;
-            Eval.apply_swap ev k1 k2
-          end
-        end
+        if Eval.pe_of ev k1 <> Eval.pe_of ev k2 then
+          match
+            Eval.probe_swap_below ev k1 k2 ~cutoff:(!best_period -. 1e-12)
+          with
+          | Some t ->
+              best_period := t;
+              improved := true;
+              if obs then Obs.Metrics.Counter.inc m_ls_swaps;
+              Eval.apply_swap ev k1 k2
+          | None -> ()
       done
     done
   done;

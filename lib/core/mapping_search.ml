@@ -37,7 +37,7 @@ type state = {
   platform : P.t;
   g : G.t;
   ev : Eval.t;
-  order : int array;  (* topological order of assignment *)
+  order : int array;  (* assignment order: largest memory need first *)
   w_ppe : float array;  (* effective PPE cost (speedup applied) *)
   w_spe : float array;
   mutable used_spes : int;  (* SPEs in use are spes.(0 .. used_spes-1) *)
@@ -150,36 +150,15 @@ let make_state ~share platform g =
     suffix_task_lb;
   }
 
-let remote_in_edges st k pe =
-  List.length
-    (List.filter
-       (fun e ->
-         let src = (G.edge st.g e).G.src in
-         let p = Eval.pe_of st.ev src in
-         p >= 0 && p <> pe)
-       (G.in_edges st.g k))
-
-let spe_preds st k pe =
-  List.filter_map
-    (fun e ->
-      let src = (G.edge st.g e).G.src in
-      let p = Eval.pe_of st.ev src in
-      if p >= 0 && p <> pe && P.is_spe st.platform p then Some p else None)
-    (G.in_edges st.g k)
-
+(* Local-store pre-check before an SPE child is built; the DMA queue
+   limits are left to the feasibility prune after [Eval.assign], which
+   counts them exactly. *)
 let can_place st k pe =
-  if P.is_spe st.platform pe then begin
-    let budget = float_of_int (P.spe_memory_budget st.platform) in
-    Eval.memory_on st.ev pe +. Eval.assign_memory_delta st.ev ~task:k ~pe
-    <= budget +. 1e-9
-    && Eval.dma_in_on st.ev pe + remote_in_edges st k pe
-       <= st.platform.P.max_dma_in
-  end
-  else
-    List.for_all
-      (fun spe ->
-        Eval.dma_to_ppe_on st.ev spe + 1 <= st.platform.P.max_dma_to_ppe)
-      (spe_preds st k pe)
+  (not (P.is_spe st.platform pe))
+  ||
+  let budget = float_of_int (P.spe_memory_budget st.platform) in
+  Eval.memory_on st.ev pe +. Eval.assign_memory_delta st.ev ~task:k ~pe
+  <= budget +. 1e-9
 
 let ppe_capacity st t =
   List.fold_left
@@ -346,7 +325,8 @@ let assignment st =
    the per-leaf allocation off the common (losing) path. *)
 let offer_leaf inc st =
   let p = Eval.period st.ev in
-  if p <= Incumbent.period inc then Incumbent.offer inc ~period:p (assignment st)
+  if p <= Incumbent.period inc && Eval.feasible st.ev then
+    Incumbent.offer inc ~period:p (assignment st)
   else false
 
 (* Candidate PEs for position [pos]: symmetric SPEs collapsed to the
@@ -365,6 +345,8 @@ let candidates st spes k =
   List.sort (fun a b -> compare (key a) (key b)) base
 
 (* Prune test for the child just assigned (next open position [pos]).
+   A constraint violation prunes: SPE memory and DMA counts only grow as
+   more tasks are assigned, so no completion can repair it.
    [p >= det_thr] and infeasibility at [det_thr] are the deterministic
    gap rules; [p > shared] and infeasibility at [shared] are the
    result-safe sharing rules. One divisible check at the min threshold
@@ -373,6 +355,7 @@ let child_pruned st ~pos ~det_thr ~inc =
   let p = Eval.period st.ev in
   let shared = Incumbent.period inc in
   p >= det_thr || p > shared
+  || (not (Eval.feasible st.ev))
   || not (divisible_feasible st ~pos (Float.min det_thr shared))
 
 let bump_used_spes st spes pe =

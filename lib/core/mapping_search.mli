@@ -4,10 +4,12 @@
     large LP at every node, which does not scale to the paper's 50–94-task
     graphs. This module exploits the structure of the mapping problem the
     way a commercial solver exploits the model: tasks are assigned one by
-    one in topological order, identical SPEs are explored up to symmetry
+    one (hardest first, below), identical SPEs are explored up to symmetry
     (candidate PEs are the PPEs, the SPEs already in use, and a single
-    fresh SPE), infeasible placements (local store, DMA queues) are pruned
-    immediately, and each node is bounded below by
+    fresh SPE), a child that violates a local-store or DMA-queue
+    constraint is pruned immediately (assigning more tasks only adds to
+    both), only feasible leaves are offered, and each node is bounded
+    below by
 
     - the occupation of the resources already committed, and
     - the closed-form {!Bounds} relaxations of the remaining work — the

@@ -116,11 +116,11 @@ let parse_task lineno words =
         | Some v -> v
         | None -> fail lineno "task %s: missing %s" name what
       in
-      Task.make ~name
-        ~w_ppe:(require "wppe" !w_ppe)
-        ~w_spe:(require "wspe" !w_spe)
-        ~peek:!peek ~stateful:!stateful ~read_bytes:!read_bytes
-        ~write_bytes:!write_bytes ()
+      let w_ppe = require "wppe" !w_ppe and w_spe = require "wspe" !w_spe in
+      (try
+         Task.make ~name ~w_ppe ~w_spe ~peek:!peek ~stateful:!stateful
+           ~read_bytes:!read_bytes ~write_bytes:!write_bytes ()
+       with Invalid_argument m -> fail lineno "%s" m)
   | [] -> fail lineno "task line without a name"
 
 let of_string s =
@@ -161,6 +161,10 @@ let of_string s =
           | Some d -> d
           | None -> fail lineno "edge without data= attribute"
         in
+        (* [Graph.add_edge] rejects negative sizes only ([nan < 0.] is
+           false); a graph file must give finite ones. *)
+        if not (Float.is_finite data_bytes) then
+          fail lineno "non-finite data size";
         (try Graph.add_edge b ~src:(lookup src) ~dst:(lookup dst) ~data_bytes
          with Invalid_argument m -> fail lineno "%s" m)
     | word :: _ -> fail lineno "unknown directive %S" word

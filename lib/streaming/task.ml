@@ -11,8 +11,13 @@ type t = {
 let make ?(peek = 0) ?(stateful = false) ?(read_bytes = 0.) ?(write_bytes = 0.)
     ~name ~w_ppe ~w_spe () =
   if name = "" then invalid_arg "Task.make: empty name";
+  (* [nan < 0.] is false: finiteness needs its own test. *)
+  if not (Float.is_finite w_ppe && Float.is_finite w_spe) then
+    invalid_arg "Task.make: non-finite cost";
   if w_ppe < 0. || w_spe < 0. then invalid_arg "Task.make: negative cost";
   if peek < 0 then invalid_arg "Task.make: negative peek";
+  if not (Float.is_finite read_bytes && Float.is_finite write_bytes) then
+    invalid_arg "Task.make: non-finite memory traffic";
   if read_bytes < 0. || write_bytes < 0. then
     invalid_arg "Task.make: negative memory traffic";
   { name; w_ppe; w_spe; peek; stateful; read_bytes; write_bytes }

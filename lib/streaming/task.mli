@@ -33,7 +33,8 @@ val make :
   unit ->
   t
 (** Smart constructor.
-    @raise Invalid_argument on negative costs, peek or memory traffic. *)
+    @raise Invalid_argument on negative or non-finite costs or memory
+    traffic, or a negative peek. *)
 
 val w : t -> Cell.Platform.pe_class -> float
 (** Cost of the task on a PE of the given class. *)

@@ -146,11 +146,177 @@ let probe_is_pure =
         if feas <> (SS.violations_of_loads platform sl = []) then
           QCheck.Test.fail_reportf "probe_move feasibility differs";
         let k2 = Support.Rng.int rng nk in
-        if k2 <> k then ignore (E.probe_swap ev k k2)
+        if k2 <> k then begin
+          let t, feas = E.probe_swap ev k k2 in
+          let arr = Cellsched.Mapping.to_array (E.mapping ev) in
+          let pk = arr.(k) in
+          arr.(k) <- arr.(k2);
+          arr.(k2) <- pk;
+          let m' = Cellsched.Mapping.make platform g arr in
+          let sl = SS.loads platform g m' in
+          if Int64.bits_of_float t <> Int64.bits_of_float (SS.period platform sl)
+          then QCheck.Test.fail_reportf "probe_swap period differs";
+          if feas <> (SS.violations_of_loads platform sl = []) then
+            QCheck.Test.fail_reportf "probe_swap feasibility differs"
+        end
       done;
       check_loads_equal (E.loads ev) before;
       if E.undo_depth ev <> 0 then
         QCheck.Test.fail_reportf "probe left journal entries";
+      true)
+
+(* --- filtered probes ------------------------------------------------------
+
+   [probe_*_below ~cutoff] must give exactly the decision of the exact
+   probe — [Some t] iff it returns [(t, true)] with [t < cutoff], with
+   [t] bitwise equal — at cutoffs on and around the probed period (one
+   ulp either side, 1e-12 either side, the infinities) and at the
+   current period minus 1e-12, the cutoff local search uses. Platforms
+   include both Cells of a QS22, where a cross-Cell edge sends the probe
+   to the exact step, and [tight_pipeline], where a colocation change
+   does. *)
+
+(* The slow-bandwidth variants make the interface and link rows compete
+   with compute for the period. *)
+let filter_platform rng =
+  match Support.Rng.int rng 4 with
+  | 0 -> P.qs22_dual ~n_spe:4 ()
+  | 1 -> P.make ~n_ppe:2 ~n_spe:4 ~n_cells:2 ~bw:2e7 ~inter_cell_bw:5e6 ()
+  | 2 -> P.qs22 ~n_spe:8 ()
+  | _ -> P.make ~n_ppe:1 ~n_spe:4 ~bw:2e7 ()
+
+let expected (t, feas) cutoff = if feas && t < cutoff then Some t else None
+
+let check_below name cutoff want got =
+  match (want, got) with
+  | None, None -> ()
+  | Some a, Some b when Int64.bits_of_float a = Int64.bits_of_float b -> ()
+  | _ ->
+      let show = function None -> "None" | Some t -> Printf.sprintf "Some %h" t in
+      QCheck.Test.fail_reportf "%s at cutoff %h: want %s, got %s" name cutoff
+        (show want) (show got)
+
+let cutoffs_around ev t =
+  let cur = E.period ev in
+  [
+    t; Float.succ t; Float.pred t; t +. 1e-12; t -. 1e-12; infinity;
+    neg_infinity; cur; cur -. 1e-12;
+  ]
+
+let filter_case ~share ~tight (seed, n) =
+  let n = max 5 n and seed = abs seed in
+  let salt = (if share then 1_000_000 else 0) + if tight then 2_000_000 else 0 in
+  let rng = Support.Rng.create (seed + salt + 9_000_000) in
+  let platform = filter_platform rng in
+  let g = random_graph rng n in
+  let options =
+    E.make_options ~share_colocated_buffers:share ~tight_pipeline:tight ()
+  in
+  let ev = E.create ~options platform g (random_mapping rng platform g) in
+  let nk = G.n_tasks g and npes = P.n_pes platform in
+  for _ = 1 to 30 do
+    (* Now and then commit a move, so probes also start from freshly
+       dirtied rows. *)
+    if Support.Rng.int rng 4 = 0 then
+      E.apply_move ev ~task:(Support.Rng.int rng nk)
+        ~pe:(Support.Rng.int rng npes);
+    let k = Support.Rng.int rng nk and pe = Support.Rng.int rng npes in
+    let exact = E.probe_move ev ~task:k ~pe in
+    List.iter
+      (fun cutoff ->
+        check_below "probe_move_below" cutoff (expected exact cutoff)
+          (E.probe_move_below ev ~task:k ~pe ~cutoff))
+      (cutoffs_around ev (fst exact));
+    let k2 = Support.Rng.int rng nk in
+    if k2 <> k then begin
+      let exact = E.probe_swap ev k k2 in
+      List.iter
+        (fun cutoff ->
+          check_below "probe_swap_below" cutoff (expected exact cutoff)
+            (E.probe_swap_below ev k k2 ~cutoff))
+        (cutoffs_around ev (fst exact))
+    end
+  done;
+  true
+
+let filter_matches_exact ~share ~tight =
+  QCheck.Test.make ~count:40
+    ~name:
+      (Printf.sprintf "probe_*_below = exact probe (share=%b, tight=%b)" share
+         tight)
+    QCheck.(pair (int_bound 100_000) (int_range 5 20))
+    (filter_case ~share ~tight)
+
+(* Rounding can put the canonical sum of a row below [v - before + after]
+   evaluated in floats; the bound's slack must absorb it. Row SPE1 holds
+   t0 = 2^-52, t1 = 1, t2 = 2^-53 and sums to 1 + 2^-51 (the last add is
+   a tie rounded to even). Without t0 it sums to exactly 1, with t3 =
+   2^-53 in t0's place too, while [v - before + after] gives 1 + 2^-52
+   and 1 + 2^-51. At the cutoff 1 + 2^-52 both probes must answer
+   [Some 1.]. *)
+let test_filter_slack () =
+  let platform = P.make ~n_ppe:1 ~n_spe:2 () in
+  let task name w =
+    Streaming.Task.make ~name ~w_ppe:1. ~w_spe:w ()
+  in
+  let g =
+    G.of_tasks
+      [|
+        task "t0" (ldexp 1. (-52)); task "t1" 1.; task "t2" (ldexp 1. (-53));
+        task "t3" (ldexp 1. (-53));
+      |]
+      []
+  in
+  let ev = E.create platform g (Cellsched.Mapping.make platform g [| 1; 1; 1; 2 |]) in
+  let cutoff = Float.succ 1. in
+  let show = function None -> "None" | Some t -> Printf.sprintf "Some %h" t in
+  let check name got =
+    Alcotest.(check string) name (show (Some 1.)) (show got)
+  in
+  check "move" (E.probe_move_below ev ~task:0 ~pe:2 ~cutoff);
+  check "swap" (E.probe_swap_below ev 0 3 ~cutoff);
+  Alcotest.(check string) "exact move agrees" (show (Some 1.))
+    (show (expected (E.probe_move ev ~task:0 ~pe:2) cutoff))
+
+(* Filtered probes leave the engine bitwise as they found it: same loads,
+   empty journal, and the next exact probe still agrees with scratch. *)
+let filter_is_pure =
+  QCheck.Test.make ~count:40 ~name:"filtered probes leave no trace"
+    QCheck.(pair (int_bound 100_000) (int_range 5 15))
+    (fun (seed, n) ->
+      let n = max 5 n and seed = abs seed in
+      let rng = Support.Rng.create (seed + 8_000_000) in
+      let platform = filter_platform rng in
+      let g = random_graph rng n in
+      let ev = E.create platform g (random_mapping rng platform g) in
+      let before = E.loads ev in
+      let cur = E.period ev in
+      let nk = G.n_tasks g and npes = P.n_pes platform in
+      for _ = 1 to 20 do
+        let k = Support.Rng.int rng nk in
+        let cutoff =
+          match Support.Rng.int rng 3 with
+          | 0 -> cur -. 1e-12
+          | 1 -> infinity
+          | _ -> cur *. Support.Rng.float rng 1.5
+        in
+        ignore
+          (E.probe_move_below ev ~task:k ~pe:(Support.Rng.int rng npes) ~cutoff);
+        let k2 = Support.Rng.int rng nk in
+        if k2 <> k then ignore (E.probe_swap_below ev k k2 ~cutoff)
+      done;
+      check_loads_equal (E.loads ev) before;
+      if E.undo_depth ev <> 0 then
+        QCheck.Test.fail_reportf "filtered probe left journal entries";
+      let k = Support.Rng.int rng nk and pe = Support.Rng.int rng npes in
+      let t, feas = E.probe_move ev ~task:k ~pe in
+      let arr = Cellsched.Mapping.to_array (E.mapping ev) in
+      arr.(k) <- pe;
+      let sl = SS.loads platform g (Cellsched.Mapping.make platform g arr) in
+      if Int64.bits_of_float t <> Int64.bits_of_float (SS.period platform sl)
+      then QCheck.Test.fail_reportf "exact probe after filtered ones differs";
+      if feas <> (SS.violations_of_loads platform sl = []) then
+        QCheck.Test.fail_reportf "exact feasibility after filtered ones differs";
       true)
 
 (* --- the heuristics' to-PPE DMA blind spot -------------------------------
@@ -260,6 +426,16 @@ let () =
           qt (replay_matches_scratch ~share:true ~tight:true);
         ] );
       ("probe", [ qt probe_is_pure ]);
+      ( "filtered probe",
+        [
+          qt (filter_matches_exact ~share:false ~tight:false);
+          qt (filter_matches_exact ~share:true ~tight:false);
+          qt (filter_matches_exact ~share:false ~tight:true);
+          qt (filter_matches_exact ~share:true ~tight:true);
+          qt filter_is_pure;
+          Alcotest.test_case "bound slack covers rounding" `Quick
+            test_filter_slack;
+        ] );
       ( "blind-spot",
         [
           Alcotest.test_case "heuristics repair to-PPE overflow" `Quick

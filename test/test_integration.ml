@@ -133,10 +133,38 @@ let exact_certification_end_to_end =
       | Ok () -> true
       | Error msg -> QCheck.Test.fail_reportf "certification failed: %s" msg)
 
+(* Seeds on which the branch and bound used to return a mapping over an
+   SPE's to-PPE DMA limit and call it proven: its placement check counted
+   one slot per SPE predecessor and none for already-placed successors.
+   Both the search itself and the MILP front end (which runs it on these
+   sizes) must return feasible mappings. *)
+let test_bb_feasible_results () =
+  List.iter
+    (fun seed ->
+      let g, platform = random_setup seed in
+      let options =
+        { Cellsched.Mapping_search.default_options with max_nodes = 50_000 }
+      in
+      let r = Cellsched.Mapping_search.solve ~options platform g in
+      if not (SS.feasible platform g r.Cellsched.Mapping_search.mapping) then
+        Alcotest.failf "seed %d: search mapping infeasible" seed;
+      let options =
+        { Cellsched.Milp_solver.default_options with time_limit = 5. }
+      in
+      let r = Cellsched.Milp_solver.solve ~options platform g in
+      if not (SS.feasible platform g r.Cellsched.Milp_solver.mapping) then
+        Alcotest.failf "seed %d: solver mapping infeasible" seed)
+    [ 52288; 500; 29950; 66350; 73450; 85850 ]
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "integration"
     [
       ( "stack",
         [ qt full_stack; qt multi_cell_stack; qt exact_certification_end_to_end ] );
+      ( "regression",
+        [
+          Alcotest.test_case "B&B results are feasible" `Quick
+            test_bb_feasible_results;
+        ] );
     ]

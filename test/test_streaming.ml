@@ -110,6 +110,28 @@ let test_serialize_errors () =
   check_fails "frob x";
   check_fails "task x wppe=1 wspe=1 frob=2"
 
+(* [nan < 0.] is false, so a sign test alone lets nan through; every
+   cost, traffic and edge size must be finite, and a graph file that
+   says otherwise is a parse error. *)
+let test_serialize_non_finite () =
+  let expect_error src =
+    match Streaming.Serialize.of_string src with
+    | exception Streaming.Serialize.Parse_error _ -> ()
+    | _ -> Alcotest.failf "expected parse error on %S" src
+  in
+  List.iter
+    (fun v ->
+      expect_error (Printf.sprintf "task x wppe=%s wspe=1" v);
+      expect_error (Printf.sprintf "task x wppe=1 wspe=%s" v);
+      expect_error (Printf.sprintf "task x wppe=1 wspe=1 read=%s" v);
+      expect_error (Printf.sprintf "task x wppe=1 wspe=1 write=%s" v);
+      expect_error
+        (Printf.sprintf "task a wppe=1 wspe=1\ntask b wppe=1 wspe=1\nedge a b data=%s" v))
+    [ "nan"; "inf"; "-inf" ];
+  Alcotest.check_raises "nan cost" (Invalid_argument "Task.make: non-finite cost")
+    (fun () ->
+      ignore (Streaming.Task.make ~name:"t" ~w_ppe:1. ~w_spe:Float.nan ()))
+
 let test_serialize_comments () =
   let g =
     Streaming.Serialize.of_string
@@ -393,6 +415,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_serialize_roundtrip;
           Alcotest.test_case "errors" `Quick test_serialize_errors;
+          Alcotest.test_case "non-finite values" `Quick
+            test_serialize_non_finite;
           Alcotest.test_case "comments" `Quick test_serialize_comments;
           Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "hostile names round-trip" `Quick
