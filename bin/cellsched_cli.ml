@@ -88,7 +88,16 @@ let time_limit_arg =
 
 let platform_of n_spe = Cell.Platform.qs22 ~n_spe ()
 
-let load_graph path = Streaming.Serialize.of_file path
+(* A graph file that cannot be read or parsed is a usage error: one
+   [cellsched: FILE:LINE: message] line and exit 2, as [batch] reports. *)
+let load_graph path =
+  try Streaming.Serialize.of_file path with
+  | Sys_error m ->
+      Printf.eprintf "cellsched: %s\n" m;
+      exit 2
+  | Streaming.Serialize.Parse_error (line, m) ->
+      Printf.eprintf "cellsched: %s:%d: %s\n" path line m;
+      exit 2
 
 (* A solver's proof obligations alongside its mapping: the proven lower
    bound on the period, the implied gap, and whether the gap target was
@@ -1178,15 +1187,7 @@ let workload_cmd =
       Printf.eprintf "cellsched: workload needs at least one graph file\n";
       exit 2
     end;
-    let graphs =
-      List.map
-        (fun file ->
-          try (file, load_graph file)
-          with Sys_error m ->
-            Printf.eprintf "cellsched: %s\n" m;
-            exit 2)
-        graph_files
-    in
+    let graphs = List.map (fun file -> (file, load_graph file)) graph_files in
     let strategy_of = function
       | "portfolio" ->
           Service.Request.Portfolio

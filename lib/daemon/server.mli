@@ -128,9 +128,9 @@ val create :
   config ->
   t
 (** [on_reply] observes every request reply (tests, bench latency
-    collection). [load_graph] (default: {!Service.Request.graph_loader})
-    lets tests resolve graph names
-    without touching the filesystem.
+    collection). [load_graph] (default: a fresh
+    {!Service.Request.graph_loader}, revalidated and bounded) lets tests
+    resolve graph names without touching the filesystem.
     @raise Invalid_argument on non-positive [bound] or [concurrency]. *)
 
 val cache : t -> Service.Shard.t

@@ -49,8 +49,49 @@ let strategy_hash = function
   | Bb { rel_gap; max_nodes } ->
       Fnv.(add_int (add_float (add_int empty 2) rel_gap) max_nodes)
 
+(* The canonical key of each graph value, computed once. [Graph.t] is
+   immutable after [Graph.build], so its key is a pure function of the
+   physical value; ephemerons let an entry die with its graph. The
+   refinement runs outside the lock, and a racing second computation
+   defers to the first one stored, so every later request shares one
+   [order] array. *)
+module Key_memo = Ephemeron.K1.Make (struct
+  type t = Streaming.Graph.t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
+let key_memo = Key_memo.create 16
+let key_lock = Mutex.create ()
+
+let m_keys result =
+  Obs.Metrics.counter_family
+    ~help:"Graph keys served from the per-graph memo or computed by refinement"
+    "svc_canonical_keys_total" ~labels:[ "result" ] [ result ]
+
+let m_keys_memo = m_keys "memo"
+let m_keys_computed = m_keys "computed"
+
+let count c = if Obs.Metrics.enabled () then Obs.Metrics.Counter.inc c
+
+let graph_key graph =
+  match Mutex.protect key_lock (fun () -> Key_memo.find_opt key_memo graph) with
+  | Some key ->
+      count m_keys_memo;
+      key
+  | None ->
+      let key = Streaming.Canonical.key graph in
+      count m_keys_computed;
+      Mutex.protect key_lock (fun () ->
+          match Key_memo.find_opt key_memo graph with
+          | Some first -> first
+          | None ->
+              Key_memo.add key_memo graph key;
+              key)
+
 let make ~label ~platform ~graph ~strategy ~deadline_ms ~prio =
-  let order, gfp = Streaming.Canonical.key graph in
+  let order, gfp = graph_key graph in
   let meta =
     let open Fnv in
     let h = add_value empty gfp in
@@ -172,6 +213,7 @@ let parse_line ~load_graph ?(default_spes = 8)
         try load_graph file
         with
         | Sys_error m -> fail "%s" m
+        | Unix.Unix_error (e, _, _) -> fail "%s: %s" file (Unix.error_message e)
         | Streaming.Serialize.Parse_error (l, m) -> fail "%s:%d: %s" file l m
       in
       Some
@@ -179,12 +221,53 @@ let parse_line ~load_graph ?(default_spes = 8)
            ~platform:(Cell.Platform.qs22 ~n_spe:!spes ())
            ~graph ~strategy ~deadline_ms:!deadline ~prio:!prio)
 
+(* Bounds of one loader's table, summed file bytes and entries. *)
+let max_loaded_graphs = 256
+let max_loaded_bytes = 64 * 1024 * 1024
+
+type loaded = {
+  stat : int * int * int * float;  (** (st_dev, st_ino, st_size, st_mtime) *)
+  graph : Streaming.Graph.t;
+  mutable used : int;
+}
+
 let graph_loader () =
   let table = Hashtbl.create 16 in
+  let bytes = ref 0 and tick = ref 0 in
+  let remove path l =
+    Hashtbl.remove table path;
+    let _, _, size, _ = l.stat in
+    bytes := !bytes - size
+  in
+  let evict_lru () =
+    let oldest =
+      Hashtbl.fold
+        (fun path l acc ->
+          match acc with
+          | Some (_, o) when o.used <= l.used -> acc
+          | _ -> Some (path, l))
+        table None
+    in
+    Option.iter (fun (path, l) -> remove path l) oldest
+  in
   fun path ->
+    let st = Unix.stat path in
+    if st.Unix.st_kind <> Unix.S_REG then
+      raise (Sys_error (path ^ ": not a regular file"));
+    let stat = Unix.(st.st_dev, st.st_ino, st.st_size, st.st_mtime) in
+    incr tick;
     match Hashtbl.find_opt table path with
-    | Some g -> g
-    | None ->
-        let g = Streaming.Serialize.of_file path in
-        Hashtbl.add table path g;
-        g
+    | Some l when l.stat = stat ->
+        l.used <- !tick;
+        l.graph
+    | stale ->
+        Option.iter (remove path) stale;
+        let graph = Streaming.Serialize.of_file path in
+        Hashtbl.replace table path { stat; graph; used = !tick };
+        bytes := !bytes + st.Unix.st_size;
+        while
+          Hashtbl.length table > max_loaded_graphs || !bytes > max_loaded_bytes
+        do
+          evict_lru ()
+        done;
+        graph

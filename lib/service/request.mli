@@ -10,10 +10,13 @@
     so a cached solution can be transported between them (subject to the
     validation described in {!Batch}).
 
-    The key is computed once, when the request is built ({!make}), from
-    a single colour refinement of the graph, and travels with it: every
-    later cache probe, recheck and insert reads it instead of
-    canonicalising again. *)
+    The key travels with the request: every cache probe, recheck and
+    insert reads it instead of canonicalising again. Its graph half is
+    computed once per graph {e value}: {!make} memoises the
+    {!Streaming.Canonical.key} of each physical [Streaming.Graph.t]
+    (which is immutable once built), so a daemon that keeps a graph
+    loaded refines it once, on first sight, and every later request
+    for it costs a lookup. *)
 
 type strategy =
   | Portfolio of { seed : int; restarts : int }
@@ -42,7 +45,8 @@ type t = private {
   order : int array;
       (** {!Streaming.Canonical.order} of [graph]: element [p] is the id of
           the task at canonical position [p]. Cached assignments are stored
-          in this order and transported back through it. *)
+          in this order and transported back through it. Shared by every
+          request built on the same graph value: read it, never write it. *)
 }
 (** [private]: fields can be read, but a request can only be built by
     {!make} (or {!parse_line}), so its key always matches its graph,
@@ -64,8 +68,15 @@ val make :
   deadline_ms:float option ->
   prio:int ->
   t
-(** The one constructor: computes [fingerprint] and [order] from one
-    {!Streaming.Canonical.key} refinement of [graph]. *)
+(** The one constructor. [order] and the graph fingerprint come from
+    one {!Streaming.Canonical.key} refinement of [graph], made on the
+    first [make] for that physical graph and memoised after it (a
+    weak table: an entry lives as long as its graph; safe to call from
+    any domain). A structurally equal but distinct graph value is
+    refined again and gets the same key. The platform and strategy
+    hashes are folded in on every call. Each call bumps
+    [svc_canonical_keys_total{result="memo"|"computed"}] when metrics
+    are enabled. *)
 
 val fingerprint : t -> string
 (** 32 lower-case hex digits: canonical graph hash, then a hash of
@@ -86,10 +97,27 @@ val parse_line :
     through [load_graph] (callers may memoize). The platform is a QS22
     with [spes] SPEs (default [default_spes], itself defaulting to 8).
     [deadline] must be a positive number of milliseconds.
-    @raise Failure with the line number on malformed input. *)
+    @raise Failure with the line number on malformed input, including a
+    graph file that [load_graph] cannot read ([Sys_error],
+    [Unix.Unix_error]) or parse. *)
+
+val max_loaded_graphs : int
+(** 256: the most graphs one {!graph_loader} table keeps. *)
+
+val max_loaded_bytes : int
+(** 64 MiB: the most summed graph-file bytes one {!graph_loader} table
+    keeps. *)
 
 val graph_loader : unit -> string -> Streaming.Graph.t
-(** A fresh memoizing [load_graph] for {!parse_line}: each path is read
-    with {!Streaming.Serialize.of_file} on first sight and the same
-    graph is returned after that. The table lives as long as the
-    closure; it is not bounded and does not notice edited files. *)
+(** A fresh memoizing [load_graph] for {!parse_line}. Every lookup
+    makes one [Unix.stat] of the path: anything but a regular file is
+    refused with [Sys_error "PATH: not a regular file"] before it is
+    opened (a FIFO would block the caller), and a missing file raises
+    [Unix.Unix_error]. A path whose (device, inode, size, mtime) matches
+    its table entry returns the same graph value, so its key stays
+    memoised; an edited or replaced file is read again with
+    {!Streaming.Serialize.of_file} and becomes a new graph value with
+    its own key. The table keeps at most {!max_loaded_graphs} graphs and
+    {!max_loaded_bytes} of summed file sizes, dropping the least
+    recently used beyond either bound.
+    Not thread-safe: one loader per thread. *)

@@ -960,8 +960,11 @@ let count_sub sub s =
   go 0 0
 
 (* Serve [input] (raw bytes) in pipe mode through temp files; returns
-   the engine's stats and everything written to the output fd. *)
-let serve_pipe input =
+   the engine's stats and everything written to the output fd. With
+   [files] the engine keeps its default loader and reads real graph
+   files instead of the in-memory names. *)
+let serve_pipe ?(files = false) input =
+  let load_graph = if files then None else Some load_graph in
   let input_path = temp_file ".in" and output_path = temp_file ".out" in
   Fun.protect ~finally:(fun () -> cleanup [ input_path; output_path ])
     (fun () ->
@@ -974,9 +977,133 @@ let serve_pipe input =
         Fun.protect
           ~finally:(fun () -> Unix.close input; Unix.close output)
           (fun () ->
-            Server.serve_fd ~load_graph (config ~bound:8 ()) ~input ~output)
+            Server.serve_fd ?load_graph (config ~bound:8 ()) ~input ~output)
       in
       (Server.stats t, read_file output_path))
+
+(* A temporary directory of graph files, removed afterwards. *)
+let with_graph_dir f =
+  let dir = temp_file ".d" in
+  Unix.mkdir dir 0o700;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name -> Sys.remove (Filename.concat dir name))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f (Filename.concat dir))
+
+(* The value of the [field: ] line in the reply framed under [id]. *)
+let reply_field out id field =
+  let rec after_begin = function
+    | [] -> Alcotest.failf "no reply %s in %S" id out
+    | line :: rest when line = Printf.sprintf "BEGIN %s ok" id -> in_body rest
+    | _ :: rest -> after_begin rest
+  and in_body = function
+    | [] -> Alcotest.failf "reply %s has no %s line" id field
+    | line :: rest ->
+        let prefix = field ^ ": " in
+        if String.starts_with ~prefix line then
+          String.sub line (String.length prefix)
+            (String.length line - String.length prefix)
+        else in_body rest
+  in
+  after_begin (String.split_on_char '\n' out)
+
+let keys result =
+  Obs.Metrics.Counter.value
+    (Obs.Metrics.counter_family "svc_canonical_keys_total"
+       ~labels:[ "result" ] [ result ])
+
+(* A graph file rewritten behind a running pipe-mode daemon: the client
+   (a forked child) sends one request, waits for its reply, replaces the
+   file with a different graph and asks twice more. The daemon must
+   answer for the new graph, then serve its repeat from the cache with
+   the key computed once. *)
+let test_serve_pipe_edited_graph () =
+  with_metrics (fun () ->
+      with_graph_dir (fun path ->
+          let file = path "g.graph" and output_path = path "out" in
+          Streaming.Serialize.to_file (graph "gA") file;
+          let line id = Printf.sprintf "%s spes=5 %s id=%s\n" file bb_attrs id in
+          let input, client = Unix.pipe ~cloexec:true () in
+          let output =
+            Unix.openfile output_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o600
+          in
+          let computed0 = keys "computed" and memo0 = keys "memo" in
+          match Unix.fork () with
+          | 0 ->
+              let send s =
+                ignore (Unix.write_substring client s 0 (String.length s))
+              in
+              send (line "before");
+              let deadline = Unix.gettimeofday () +. 20. in
+              while
+                count_sub "END before\n" (read_file output_path) = 0
+                && Unix.gettimeofday () < deadline
+              do
+                Unix.sleepf 0.01
+              done;
+              Streaming.Serialize.to_file (graph "gB") file;
+              send (line "after" ^ line "again");
+              Unix._exit 0
+          | pid ->
+              Unix.close client;
+              let s =
+                Fun.protect
+                  ~finally:(fun () ->
+                    Unix.close input;
+                    Unix.close output;
+                    ignore (Unix.waitpid [] pid))
+                  (fun () -> Server.stats (Server.serve_fd (config ()) ~input ~output))
+              in
+              let computed = keys "computed" - computed0
+              and memo = keys "memo" - memo0 in
+              let out = read_file output_path in
+              let expected =
+                Req.make ~label:file ~platform:(P.qs22 ~n_spe:5 ())
+                  ~graph:(Streaming.Serialize.of_file file)
+                  ~strategy:bb_strategy ~deadline_ms:None ~prio:0
+              in
+              Alcotest.(check int) "three replies" 3 s.Server.replies;
+              Alcotest.(check bool) "the edit changed the key" true
+                (reply_field out "before" "fingerprint"
+                <> reply_field out "after" "fingerprint");
+              Alcotest.(check string) "after the edit: the new graph's key"
+                (Req.fingerprint expected)
+                (reply_field out "after" "fingerprint");
+              Alcotest.(check string) "after the edit: solved" "solver"
+                (reply_field out "after" "source");
+              Alcotest.(check string) "repeat: a hit" "cache"
+                (reply_field out "again" "source");
+              Alcotest.(check int) "one refinement per graph value" 2 computed;
+              Alcotest.(check int) "the repeat read the memo" 1 memo))
+
+(* A FIFO path is refused before it is opened (opening one with no
+   writer blocks), a missing file keeps its error text, and the daemon
+   goes on serving. *)
+let test_serve_pipe_not_regular () =
+  with_metrics (fun () ->
+      with_graph_dir (fun path ->
+          let fifo = path "fifo" and file = path "g.graph" in
+          Unix.mkfifo fifo 0o600;
+          Streaming.Serialize.to_file (graph "gC") file;
+          let s, out =
+            serve_pipe ~files:true
+              (Printf.sprintf "%s spes=4 id=f1\n%s spes=4 id=f2\n%s spes=4 %s id=f3\n"
+                 fifo (path "missing.graph") file bb_attrs)
+          in
+          Alcotest.(check int) "two malformed" 2 s.Server.errors;
+          Alcotest.(check int) "then one solved" 1 s.Server.solved;
+          Alcotest.(check bool) "typed refusal of the FIFO" true
+            (String.starts_with
+               ~prefix:
+                 (Printf.sprintf
+                    "ERROR f1 line 1: %s: not a regular file\n\
+                     ERROR f2 line 2: %s: No such file or directory\n\
+                     BEGIN f3 ok\n"
+                    fifo (path "missing.graph"))
+               out)))
 
 let test_serve_pipe () =
   with_metrics (fun () ->
@@ -1247,6 +1374,10 @@ let () =
           Alcotest.test_case "pipe fds end to end" `Quick test_serve_pipe;
           Alcotest.test_case "pipe: a 10 MB line gets one ERROR" `Quick
             test_serve_pipe_long_line;
+          Alcotest.test_case "pipe: an edited graph file is read again" `Quick
+            test_serve_pipe_edited_graph;
+          Alcotest.test_case "pipe: a FIFO path is refused, not opened" `Quick
+            test_serve_pipe_not_regular;
           Alcotest.test_case "socket: PING/solve/QUIT" `Quick
             test_serve_socket_quit;
           Alcotest.test_case "socket: a 10 MB line gets one ERROR" `Quick

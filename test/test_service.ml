@@ -980,6 +980,112 @@ let test_parse_line () =
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "seed= under bb should fail"
 
+(* ====================================================================== *)
+(* The per-graph key memo                                                 *)
+(* ====================================================================== *)
+
+let keys result =
+  Obs.Metrics.Counter.value
+    (Obs.Metrics.counter_family "svc_canonical_keys_total"
+       ~labels:[ "result" ] [ result ])
+
+let make ?(spes = 8) g =
+  Req.make ~label:"g" ~platform:(P.qs22 ~n_spe:spes ()) ~graph:g
+    ~strategy:Req.default_strategy ~deadline_ms:None ~prio:0
+
+let test_key_memo () =
+  with_metrics (fun () ->
+      let g = random_graph (Support.Rng.create 41) 12 in
+      let computed0 = keys "computed" and memo0 = keys "memo" in
+      let r1 = make g and r2 = make ~spes:4 g in
+      Alcotest.(check bool) "one graph value shares one order array" true
+        (r1.Req.order == r2.Req.order);
+      Alcotest.(check string) "same graph half of the key"
+        (String.sub (Req.fingerprint r1) 0 16)
+        (String.sub (Req.fingerprint r2) 0 16);
+      Alcotest.(check string) "same request, same key" (Req.fingerprint r1)
+        (Req.fingerprint (make g));
+      Alcotest.(check int) "refined once" 1 (keys "computed" - computed0);
+      Alcotest.(check int) "then read from the memo" 2 (keys "memo" - memo0);
+      let copy = Streaming.Serialize.(of_string (to_string g)) in
+      let r3 = make copy in
+      Alcotest.(check bool) "a distinct value is refined on its own" true
+        (r3.Req.order != r1.Req.order && r3.Req.order = r1.Req.order);
+      Alcotest.(check string) "an equal copy gets the same key"
+        (Req.fingerprint r1) (Req.fingerprint r3);
+      Alcotest.(check int) "the copy was refined" 2 (keys "computed" - computed0))
+
+let test_key_memo_domains () =
+  let g = random_graph (Support.Rng.create 43) 40 in
+  let keys_of () = List.init 50 (fun _ -> make g) in
+  let d = Domain.spawn keys_of in
+  let mine = keys_of () in
+  let theirs = Domain.join d in
+  let reference = make (Streaming.Serialize.(of_string (to_string g))) in
+  List.iter
+    (fun (r : Req.t) ->
+      Alcotest.(check string) "identical key" (Req.fingerprint reference)
+        (Req.fingerprint r);
+      Alcotest.(check (array int)) "identical order" reference.Req.order
+        r.Req.order)
+    (mine @ theirs);
+  Alcotest.(check bool) "later requests share the stored order" true
+    (let later = (make g).Req.order in
+     List.exists (fun (r : Req.t) -> r.Req.order == later) (mine @ theirs))
+
+(* The loader keeps a path's graph value while the file is unchanged,
+   reads an edited file again, and drops the least recently used graph
+   once it holds [max_loaded_graphs]. *)
+let test_graph_loader () =
+  let dir = Filename.temp_file "cellsched_loader" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path i = Filename.concat dir (Printf.sprintf "g%d.graph" i) in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let rng = Support.Rng.create 47 in
+      let g = random_graph rng 6 in
+      let n = Req.max_loaded_graphs in
+      for i = 0 to n do
+        Streaming.Serialize.to_file g (path i)
+      done;
+      let load = Req.graph_loader () in
+      let first = load (path 0) in
+      Alcotest.(check bool) "unchanged file: same graph value" true
+        (load (path 0) == first);
+      Streaming.Serialize.to_file (random_graph rng 7) (path 0);
+      let edited = load (path 0) in
+      Alcotest.(check bool) "edited file: read again" true
+        (edited != first && G.n_tasks edited = 7);
+      let kept = Array.init n (fun i -> load (path i)) in
+      Alcotest.(check bool) "a full table still hits" true
+        (load (path 0) == kept.(0));
+      let newest = load (path n) in
+      Alcotest.(check bool) "recently used graphs stay" true
+        (load (path n) == newest
+        && load (path 0) == kept.(0)
+        && load (path 2) == kept.(2));
+      Alcotest.(check bool) "the least recently used was dropped" true
+        (load (path 1) != kept.(1)))
+
+(* [map] on a graph file that does not parse: one FILE:LINE: line and
+   exit 2, not an uncaught exception. *)
+let test_cli_map_malformed () =
+  let file = Filename.temp_file "cellsched_cli" ".graph" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Out_channel.with_open_bin file (fun oc -> output_string oc "bogus\n");
+      let code, out, err = run_cli [ "map"; file ] in
+      Alcotest.(check int) "usage exit code" 2 code;
+      Alcotest.(check string) "no report" "" out;
+      Alcotest.(check string) "one FILE:LINE: line"
+        (Printf.sprintf "cellsched: %s:1: unknown directive \"bogus\"\n" file)
+        err)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "service"
@@ -1030,7 +1136,17 @@ let () =
           Alcotest.test_case "transport reject falls back" `Quick
             test_transport_reject_falls_back;
         ] );
-      ("requests", [ Alcotest.test_case "parse_line" `Quick test_parse_line ]);
+      ( "requests",
+        [
+          Alcotest.test_case "parse_line" `Quick test_parse_line;
+          Alcotest.test_case "one key per graph value" `Quick test_key_memo;
+          Alcotest.test_case "memoised key from 2 domains" `Quick
+            test_key_memo_domains;
+          Alcotest.test_case "graph_loader revalidates and bounds" `Quick
+            test_graph_loader;
+          Alcotest.test_case "map on a malformed graph file exits 2" `Quick
+            test_cli_map_malformed;
+        ] );
       ( "stress",
         [
           Alcotest.test_case "10k pool tasks vs the locked cache" `Quick
